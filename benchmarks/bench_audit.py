@@ -6,9 +6,9 @@ Three parts, one JSON report:
 * **invariant suite** — the pipeline runs end-to-end on a seeded web
   with the strict audit enabled; every stage-boundary invariant and the
   per-iteration mass check must hold.
-* **differential oracle** — every registered solver × kernel ×
-  {lazy, materialized} operator combination on the seeded adversarial
-  graph suite (dangling rows, κ ∈ {0, 1}, disconnected components) must
+* **differential oracle** — every registered solver ×
+  {lazy, materialized, blocked} operator combination on the seeded
+  adversarial graph suite (dangling rows, κ ∈ {0, 1}, disconnected components) must
   agree to 1e-9, plus the metamorphic relations.
 * **overhead gate** — the pipeline with auditing *disabled* must run
   within ``OVERHEAD_GATE`` (5 %) of an identical reference run: the

@@ -105,8 +105,8 @@ def run(quick: bool, seed: int) -> dict:
         return power_iteration(t2, params, label="materialized")
 
     def lazy_once():
-        with ThrottledOperator(matrix, tv, full_throttle="self") as op:
-            return power_iteration(op, params, label="lazy")
+        op = ThrottledOperator(matrix, tv, full_throttle="self")
+        return power_iteration(op, params, label="lazy")
 
     t_mat, r_mat = time_repeats(materialized_once, repeats)
     t_lazy, r_lazy = time_repeats(lazy_once, repeats)
@@ -134,12 +134,10 @@ def run(quick: bool, seed: int) -> dict:
 
     def lazy_sweep():
         out = []
-        with CsrOperator(matrix) as base:  # one base matrix, one A^T CSR
-            for level in sweep_points:
-                with ThrottledOperator(
-                    base, kappa * level, full_throttle="self"
-                ) as op:
-                    out.append(power_iteration(op, params, label="sweep-lazy"))
+        base = CsrOperator(matrix)  # one base matrix, one A^T CSR
+        for level in sweep_points:
+            op = ThrottledOperator(base, kappa * level, full_throttle="self")
+            out.append(power_iteration(op, params, label="sweep-lazy"))
         return out
 
     t_mat_sweep, r_mat_sweep = time_repeats(materialized_sweep, repeats)

@@ -2,14 +2,11 @@
 """Fault-injection benchmark: every failure mode must recover to the
 fault-free σ.
 
-Three scenarios, each timed against its fault-free baseline:
+Two scenarios, each timed against its fault-free baseline:
 
 * **nan_fallback** — a seeded NaN corrupts the power iterate mid-solve;
   the guard trips :class:`~repro.errors.NumericalError` and the
   ``power → jacobi`` fallback chain warm-starts past it.
-* **broken_pool** — a parallel-kernel worker is killed with ``os._exit``;
-  the pool rebuilds (re-attaching shared memory), and once the rebuild
-  budget is exhausted the matvec degrades to the serial kernel.
 * **killed_process** — a *real* child process running a checkpointed
   solve is killed mid-iteration; the parent resumes from the last atomic
   checkpoint.
@@ -102,47 +99,7 @@ def scenario_nan_fallback(matrix, params) -> dict:
 
 
 # ----------------------------------------------------------------------
-# Scenario 2: killed pool worker → rebuild, then serial degradation
-# ----------------------------------------------------------------------
-def scenario_broken_pool(matrix) -> dict:
-    from repro.parallel import SharedCsrMatvec
-    from repro.resilience import break_worker_pool
-
-    gen = np.random.default_rng(5)
-    x = gen.random(matrix.shape[0])
-    expected = matrix.T @ x
-
-    t0 = time.perf_counter()
-    with SharedCsrMatvec(matrix.tocsr(), n_workers=2, max_rebuilds=1) as mv:
-        ok_before = bool(
-            np.allclose(mv.rmatvec(x), expected, atol=1e-12)
-        )
-        break_worker_pool(mv._pool)
-        rebuilt = np.allclose(mv.rmatvec(x), expected, atol=1e-12)
-        rebuilt_count = mv._pool.rebuilds
-        break_worker_pool(mv._pool)  # budget now exhausted → degrade
-        degraded_ok = np.allclose(mv.rmatvec(x), expected, atol=1e-12)
-        degraded = mv.degraded
-    elapsed = time.perf_counter() - t0
-    return {
-        "healthy_matvec_ok": ok_before,
-        "rebuilt_matvec_ok": bool(rebuilt),
-        "pool_rebuilds": int(rebuilt_count),
-        "degraded_matvec_ok": bool(degraded_ok),
-        "degraded": bool(degraded),
-        "recovered": bool(ok_before and rebuilt and degraded_ok and degraded),
-        "seconds": elapsed,
-        "fallbacks_pool_rebuild": _counter(
-            "repro_fallbacks_total", "pool_rebuild"
-        ),
-        "fallbacks_serial_degrade": _counter(
-            "repro_fallbacks_total", "serial_degrade"
-        ),
-    }
-
-
-# ----------------------------------------------------------------------
-# Scenario 3: child process killed mid-solve → checkpoint resume
+# Scenario 2: child process killed mid-solve → checkpoint resume
 # ----------------------------------------------------------------------
 def _doomed_solve(matrix, params, directory: str, kill_at: int) -> None:
     """Child-process body: checkpointed solve that dies at iteration k."""
@@ -223,7 +180,6 @@ def run(quick: bool, seed: int) -> dict:
         "recovery_atol": RECOVERY_ATOL,
         "scenarios": {
             "nan_fallback": scenario_nan_fallback(matrix, params),
-            "broken_pool": scenario_broken_pool(matrix),
             "killed_process": scenario_killed_process(matrix, params),
         },
     }
@@ -233,8 +189,6 @@ def run(quick: bool, seed: int) -> dict:
     )
     report["metrics_nonzero"] = bool(
         scenarios["nan_fallback"]["fallbacks_solver"] > 0
-        and scenarios["broken_pool"]["fallbacks_pool_rebuild"] > 0
-        and scenarios["broken_pool"]["fallbacks_serial_degrade"] > 0
         and scenarios["killed_process"]["checkpoint_resumes_solve"] > 0
     )
     return report
@@ -260,12 +214,10 @@ def main(argv: list[str] | None = None) -> int:
     print(f"resilience bench (n={report['n_sources']}, nnz={report['nnz']}):")
     for name, s in report["scenarios"].items():
         state = "recovered" if s["recovered"] else "FAILED"
-        detail = (
-            f"max |diff| {s['max_score_diff']:.2e}"
-            if "max_score_diff" in s
-            else f"rebuilds {s['pool_rebuilds']}, degraded {s['degraded']}"
+        print(
+            f"  {name}: {state} in {s['seconds']:.3f}s "
+            f"(max |diff| {s['max_score_diff']:.2e})"
         )
-        print(f"  {name}: {state} in {s['seconds']:.3f}s ({detail})")
     print(f"  wrote {args.out}")
     if not report["all_recovered"]:
         print(

@@ -14,8 +14,6 @@ Phases:
     leaves healthy.
   - *crash*: the solve dies mid-iteration; the update is dropped and the
     service degrades to serve-stale.
-  - *broken_pool*: a parallel-kernel worker is killed with ``os._exit``;
-    the shared-memory pool rebuilds and the update still succeeds.
 
 * **ladder** — crash updates walk the service down the full degradation
   ladder (healthy → stale → baseline → read_only) and one clean queued
@@ -329,11 +327,7 @@ def run_ladder(service, evolver, assignment, kappa, scrape: ScrapeHarness) -> di
 # Chaos phase
 # ----------------------------------------------------------------------
 def run_chaos(service, evolver, assignment, kappa, seed: int) -> dict:
-    from repro.resilience.faults import (
-        FaultyOperator,
-        break_worker_pool,
-        crash_at_iteration,
-    )
+    from repro.resilience.faults import FaultyOperator, crash_at_iteration
 
     applied = []
     report: dict = {}
@@ -380,34 +374,6 @@ def run_chaos(service, evolver, assignment, kappa, seed: int) -> dict:
         "reads_during_degradation_ok": True,
     }
 
-    # Killed pool worker: the shared-memory pool rebuilds mid-update.
-    def break_pool_then_pass(op):
-        shared = getattr(op, "_shared", None)
-        if shared is not None:
-            break_worker_pool(shared._pool)
-        return op
-
-    rebuilds_before = counter_value("repro_fallbacks_total", kind="pool_rebuild")
-    graph = evolver.step()
-    service.submit_update(
-        graph,
-        assignment,
-        kappa,
-        kernel="parallel",
-        operator_wrap=break_pool_then_pass,
-    )
-    ok = service.run_pending() == 1
-    if ok:
-        applied.append(graph)
-    report["broken_pool"] = {
-        "applied": ok,
-        "state": service.health()["state"],
-        "pool_rebuilds_fired": counter_value(
-            "repro_fallbacks_total", kind="pool_rebuild"
-        )
-        - rebuilds_before,
-    }
-
     # Clean recovery: back to healthy with zero staleness.
     graph = evolver.step()
     service.submit_update(graph, assignment, kappa)
@@ -425,7 +391,6 @@ def run_chaos(service, evolver, assignment, kappa, seed: int) -> dict:
         and report["nan"]["fallbacks_fired"] > 0
         and report["crash"]["dropped"]
         and report["crash"]["went_stale"]
-        and report["broken_pool"]["applied"]
         and report["recovery"]["applied"]
         and report["recovery"]["state"] == "healthy"
     )

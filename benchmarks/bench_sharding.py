@@ -21,8 +21,7 @@ Measures the three claims the sharded graph substrate makes:
   at scale).
 
 Plus shard decode throughput (edges/s with digest verification — the
-honest per-sweep cost of an out-of-core iteration) and one block-parallel
-solve (recorded, not gated: worker counts vary across CI boxes).
+honest per-sweep cost of an out-of-core iteration).
 
 Writes ``benchmarks/results/BENCH_sharding.json``; the ledger tracks the
 metrics above.  ``--quick`` runs a small graph for CI (timings recorded,
@@ -71,7 +70,6 @@ def _blocked_solve(
     kappa: np.ndarray,
     *,
     tolerance: float,
-    workers: int = 0,
     cache_blocks: int = 2,
 ):
     from repro.config import RankingParams
@@ -79,16 +77,11 @@ def _blocked_solve(
     from repro.linalg.registry import solver_registry
 
     params = RankingParams(tolerance=tolerance, max_iter=5000)
-    with BlockedOperator(
-        store_dir, cache_blocks=cache_blocks, workers=workers
-    ) as base:
+    with BlockedOperator(store_dir, cache_blocks=cache_blocks) as base:
         operand = ThrottledOperator(base, kappa, full_throttle="dangling")
-        try:
-            return solver_registry.solve(
-                operand, params, solver="power", label="bench-sharding"
-            )
-        finally:
-            operand.close()
+        return solver_registry.solve(
+            operand, params, solver="power", label="bench-sharding"
+        )
 
 
 def _reshard(store, out_dir: Path, factor: int):
@@ -162,7 +155,6 @@ def _measure_child(mode: str, store_dir: str, seed: int, queue) -> None:
                 solver="power",
                 label="bench-sharding-baseline",
             )
-            operand.close()
         else:
             t1 = time.perf_counter()
             result = _blocked_solve(
@@ -324,22 +316,6 @@ def run(quick: bool, seed: int, workdir: Path) -> dict:
         ),
     }
 
-    # --- block-parallel solve (recorded, not gated) -----------------------
-    workers = min(4, mp.cpu_count())
-    t0 = time.perf_counter()
-    parallel = _blocked_solve(
-        str(base_store.directory),
-        kappa,
-        tolerance=SOLVE_TOLERANCE,
-        workers=workers,
-    )
-    report["parallel"] = {
-        "workers": workers,
-        "solve_seconds": time.perf_counter() - t0,
-        "iterations": int(parallel.convergence.iterations),
-        "serial_seconds": min(times),
-    }
-
     report["equivalent"] = ok
     return report
 
@@ -397,11 +373,6 @@ def main(argv: list[str] | None = None) -> int:
     print(
         f"  decode: {decode['edges_per_second'] / 1e6:.1f}M edges/s "
         f"(verified, {decode['payload_mb_per_second']:.0f} MB/s)"
-    )
-    par = report["parallel"]
-    print(
-        f"  parallel ({par['workers']} workers): {par['solve_seconds']:.2f}s "
-        f"vs serial {par['serial_seconds']:.2f}s"
     )
     print(f"  wrote {args.out}")
     if not report["equivalent"]:

@@ -7,9 +7,9 @@ Three complementary layers of cross-checking for the ranking stack:
   distribution), standalone or wired into the pipeline via
   :class:`~repro.config.AuditParams`;
 * :mod:`repro.audit.differential` — a seeded oracle running every
-  registered solver × kernel × {lazy, materialized, blocked} operator
-  path (the blocked operand solves out-of-core from a sharded store) and
-  flagging any pair that disagrees beyond 1e-9;
+  registered solver × {lazy, materialized, blocked} operator path (the
+  blocked operand solves out-of-core from a sharded store) and flagging
+  any pair that disagrees beyond 1e-9;
 * :mod:`repro.audit.metamorphic` — relabeling-permutation,
   edge-weight-scaling, and seed-bias-monotonicity relations for
   :func:`~repro.ranking.srsourcerank.spam_resilient_sourcerank` and

@@ -1,10 +1,10 @@
-"""Differential oracle: every solver × kernel × operator path must agree.
+"""Differential oracle: every solver × operator path must agree.
 
-The stack offers three registered solvers (power, Jacobi, Gauss–Seidel),
-three transpose-matvec kernels, and three ways to present the throttled
-operand: the lazy :class:`~repro.linalg.operator.ThrottledOperator`, the
-materialized :func:`~repro.throttle.transform.throttle_transform`
-matrix, and — out-of-core — the lazy transform over a
+The stack offers three registered solvers (power, Jacobi, Gauss–Seidel)
+and three ways to present the throttled operand: the lazy
+:class:`~repro.linalg.operator.ThrottledOperator`, the materialized
+:func:`~repro.throttle.transform.throttle_transform` matrix, and —
+out-of-core — the lazy transform over a
 :class:`~repro.linalg.BlockedOperator` streaming row-block shards from a
 :class:`~repro.webgraph.store.ShardedGraphStore` (each case's matrix is
 round-tripped through an on-disk store built in a temp directory, so the
@@ -38,12 +38,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..config import RankingParams
-from ..linalg.operator import (
-    KERNELS,
-    BlockedOperator,
-    CsrOperator,
-    ThrottledOperator,
-)
+from ..linalg.operator import BlockedOperator, ThrottledOperator
 from ..linalg.registry import solver_registry
 from ..throttle.transform import throttle_transform
 from ..webgraph.store import ShardedGraphStore
@@ -102,10 +97,9 @@ class GraphCase:
 
 @dataclass(frozen=True)
 class ComboResult:
-    """Score vector from one solver × kernel × operand-mode path."""
+    """Score vector from one solver × operand-mode path."""
 
     solver: str
-    kernel: str
     operand: str  # "lazy" | "materialized" | "blocked"
     scores: np.ndarray
     iterations: int
@@ -113,7 +107,7 @@ class ComboResult:
 
     @property
     def key(self) -> str:
-        return f"{self.solver}/{self.kernel}/{self.operand}"
+        return f"{self.solver}/{self.operand}"
 
 
 @dataclass(frozen=True)
@@ -282,32 +276,19 @@ def generate_case_suite(seed: int = 0, *, n: int = 24) -> list[GraphCase]:
 # ----------------------------------------------------------------------
 # Oracle
 # ----------------------------------------------------------------------
-def _solver_kernels(solver: str) -> tuple[str, ...]:
-    """Kernels that change anything for ``solver`` (the linear solvers
-    materialize the operand and ignore the kernel)."""
-    return KERNELS if solver == "power" else ("scipy",)
-
-
 def _run_combo(
     case: GraphCase,
     solver: str,
-    kernel: str,
     operand_mode: str,
     params: RankingParams,
-    *,
-    store: ShardedGraphStore | None = None,
+    blocked_base: BlockedOperator,
 ) -> ComboResult:
-    label = f"audit:{case.name}:{solver}/{kernel}/{operand_mode}"
-    blocked_base: BlockedOperator | None = None
+    label = f"audit:{case.name}:{solver}/{operand_mode}"
     if operand_mode == "lazy":
         operand = ThrottledOperator(
-            CsrOperator(case.matrix, kernel=kernel),
-            case.kappa,
-            full_throttle=case.full_throttle,
+            case.matrix, case.kappa, full_throttle=case.full_throttle
         )
     elif operand_mode == "blocked":
-        assert store is not None
-        blocked_base = BlockedOperator(store, cache_blocks=2)
         operand = ThrottledOperator(
             blocked_base, case.kappa, full_throttle=case.full_throttle
         )
@@ -315,23 +296,9 @@ def _run_combo(
         operand = throttle_transform(
             case.matrix, case.kappa, full_throttle=case.full_throttle
         )
-    try:
-        result = solver_registry.solve(
-            operand,
-            params,
-            solver=solver,
-            label=label,
-            kernel=None if operand_mode == "blocked" else kernel,
-        )
-    finally:
-        close = getattr(operand, "close", None)
-        if close is not None:
-            close()
-        if blocked_base is not None:
-            blocked_base.close()
+    result = solver_registry.solve(operand, params, solver=solver, label=label)
     return ComboResult(
         solver=solver,
-        kernel=kernel,
         operand=operand_mode,
         scores=np.asarray(result.scores, dtype=np.float64),
         iterations=int(result.convergence.iterations),
@@ -349,7 +316,7 @@ def run_differential_oracle(
     solvers: Sequence[str] | None = None,
     strict: bool = False,
 ) -> DifferentialReport:
-    """Run every solver × kernel × operand combination and cross-check.
+    """Run every solver × operand combination and cross-check.
 
     Parameters
     ----------
@@ -397,19 +364,14 @@ def run_differential_oracle(
             store = ShardedGraphStore.from_matrix(
                 case.matrix, tmp, block_size=max(1, case.n // 3)
             )
-            for solver in solver_names:
-                for kernel in _solver_kernels(solver):
-                    for operand_mode in ("lazy", "materialized"):
+            with BlockedOperator(store, cache_blocks=2) as blocked_base:
+                for solver in solver_names:
+                    for operand_mode in ("lazy", "materialized", "blocked"):
                         combos.append(
                             _run_combo(
-                                case, solver, kernel, operand_mode, params
+                                case, solver, operand_mode, params, blocked_base
                             )
                         )
-                combos.append(
-                    _run_combo(
-                        case, solver, "blocked", "blocked", params, store=store
-                    )
-                )
             report.n_combos += len(combos)
 
             # Structural invariants on the materialized transform and on
@@ -437,18 +399,16 @@ def run_differential_oracle(
                 )
             )
             with BlockedOperator(store, cache_blocks=2) as blocked_base:
-                blocked_throttled = ThrottledOperator(
-                    blocked_base, case.kappa, full_throttle=case.full_throttle
-                )
-                try:
-                    report.invariant_violations.extend(
-                        check_throttled_operator_blocks(
-                            blocked_throttled,
-                            subject=f"{case.name}:T''(blocked)",
-                        )
+                report.invariant_violations.extend(
+                    check_throttled_operator_blocks(
+                        ThrottledOperator(
+                            blocked_base,
+                            case.kappa,
+                            full_throttle=case.full_throttle,
+                        ),
+                        subject=f"{case.name}:T''(blocked)",
                     )
-                finally:
-                    blocked_throttled.close()
+                )
         for combo in combos:
             report.invariant_violations.extend(
                 check_score_distribution(

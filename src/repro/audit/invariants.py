@@ -1,7 +1,7 @@
 """Cheap runtime invariant checks for the ranking stack.
 
 The paper's guarantees rest on a handful of structural invariants that
-every solver / kernel / operator combination is supposed to preserve:
+every solver / operator combination is supposed to preserve:
 
 * the source transition matrix ``T'`` is row-stochastic (Section 3.2);
 * the throttled matrix ``T''`` keeps boosted diagonals at exactly

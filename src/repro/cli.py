@@ -62,25 +62,12 @@ def build_parser() -> argparse.ArgumentParser:
         default=4,
         help="with --graph-store: decoded blocks to keep in memory",
     )
-    p_rank.add_argument(
-        "--store-workers",
-        type=int,
-        default=0,
-        help="with --graph-store: block-parallel matvec workers "
-        "(0 = stream shards serially)",
-    )
     p_rank.add_argument("--alpha", type=float, default=0.85)
     p_rank.add_argument(
         "--solver",
         default="power",
         help="ranking solver: power (default), jacobi, gauss_seidel, or any "
         "registered solver name",
-    )
-    p_rank.add_argument(
-        "--kernel",
-        choices=("scipy", "chunked", "parallel"),
-        default="scipy",
-        help="transpose-matvec kernel for the power solver",
     )
     p_rank.add_argument("--top", type=int, default=20, help="how many sources to print")
     p_rank.add_argument(
@@ -432,13 +419,9 @@ def _rank_store(args: argparse.Namespace) -> int:
         kappa = np.zeros(store.n_sources)
         kappa[ids] = 1.0
         print(f"throttling {ids.size} blocklisted sources (kappa = 1)")
-    params = GraphStoreParams(
-        cache_blocks=args.store_cache, workers=args.store_workers
-    )
+    params = GraphStoreParams(cache_blocks=args.store_cache)
     with SpamResilientPipeline(
-        ranking=RankingParams(
-            alpha=args.alpha, solver=args.solver, kernel=args.kernel
-        )
+        ranking=RankingParams(alpha=args.alpha, solver=args.solver)
     ) as pipe:
         result = pipe.rank_store(store, kappa=kappa, store_params=params)
     top_k = min(args.top, store.n_sources)
@@ -542,7 +525,6 @@ def _cmd_rank(args: argparse.Namespace) -> int:
         ranking=RankingParams(
             alpha=args.alpha,
             solver=args.solver,
-            kernel=args.kernel,
             progress=telemetry,
             resilience=resilience,
             audit=audit,

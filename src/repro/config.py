@@ -637,8 +637,8 @@ class GraphStoreParams:
 
     Accepted by :func:`repro.core.pipeline.operator_from_store` (and the
     ``repro rank --graph-store`` / ``repro shard`` CLI paths) to control
-    how a :class:`~repro.webgraph.store.ShardedGraphStore` is turned into
-    a :class:`~repro.linalg.BlockedOperator`.
+    how a :class:`~repro.webgraph.store.ShardedGraphStore` is written and
+    turned into a :class:`~repro.linalg.BlockedOperator`.
 
     Parameters
     ----------
@@ -646,24 +646,13 @@ class GraphStoreParams:
         Rows per shard when *writing* a store (conversion/generation
         paths); reading uses whatever the manifest declares.
     cache_blocks:
-        Bound on decoded blocks held in memory by the blocked operator
-        (and, in the parallel path, per shm worker).  The out-of-core
-        memory guarantee is O(cache_blocks · block + iterate).
-    workers:
-        ``0`` streams shards serially in-process; ``> 0`` runs the
-        block-parallel shm evaluator with that many workers.
-    max_rebuilds:
-        Pool-rebuild budget of the parallel evaluator before it degrades
-        to serial shard streaming.
-    task_timeout:
-        Optional wall-clock bound (seconds) on one parallel matvec batch.
+        Bound on decoded blocks held in memory by the blocked operator.
+        The out-of-core memory guarantee is O(cache_blocks · block +
+        iterate).
     """
 
     block_size: int = 65_536
     cache_blocks: int = 4
-    workers: int = 0
-    max_rebuilds: int = 2
-    task_timeout: float | None = None
 
     def __post_init__(self) -> None:
         for name in ("block_size", "cache_blocks"):
@@ -671,17 +660,6 @@ class GraphStoreParams:
             if value < 1:
                 raise ConfigError(f"{name} must be >= 1, got {value!r}")
             object.__setattr__(self, name, value)
-        workers = int(self.workers)
-        if workers < 0:
-            raise ConfigError(f"workers must be >= 0, got {workers!r}")
-        object.__setattr__(self, "workers", workers)
-        rebuilds = int(self.max_rebuilds)
-        if rebuilds < 0:
-            raise ConfigError(f"max_rebuilds must be >= 0, got {rebuilds!r}")
-        object.__setattr__(self, "max_rebuilds", rebuilds)
-        if self.task_timeout is not None:
-            _check_positive("task_timeout", self.task_timeout)
-            object.__setattr__(self, "task_timeout", float(self.task_timeout))
 
     def with_(self, **overrides: object) -> "GraphStoreParams":
         """Return a copy with the given fields replaced."""
@@ -713,9 +691,6 @@ class RankingParams:
         paper's choice — ``"jacobi"``, ``"gauss_seidel"``, or any name
         added via :func:`repro.linalg.register_solver`).  Validated
         against the registry at construction.
-    kernel:
-        Transpose-matvec kernel for the power solver (``"scipy"``,
-        ``"chunked"``, ``"parallel"``); ignored by the linear solvers.
     progress:
         Optional :class:`repro.observability.ProgressCallback` receiving
         per-iteration solver telemetry (residuals, step timings, dangling
@@ -744,7 +719,6 @@ class RankingParams:
     norm: Literal["l1", "l2", "linf"] = "l2"
     strict: bool = True
     solver: str = "power"
-    kernel: Literal["scipy", "chunked", "parallel"] = "scipy"
     progress: "ProgressCallback | None" = field(
         default=None, compare=False, repr=False
     )
@@ -776,14 +750,9 @@ class RankingParams:
             )
         # Imported lazily: the registry lives in repro.linalg, which is
         # only reachable at call time without a config <-> linalg cycle.
-        from .linalg.operator import KERNELS
         from .linalg.registry import solver_registry
 
         solver_registry.validate(self.solver)
-        if self.kernel not in KERNELS:
-            raise ConfigError(
-                f"kernel must be one of {KERNELS}, got {self.kernel!r}"
-            )
 
     def with_(self, **overrides: object) -> "RankingParams":
         """Return a copy with the given fields replaced."""

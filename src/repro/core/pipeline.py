@@ -87,19 +87,13 @@ def operator_from_store(
     """Open a sharded graph store as an out-of-core transition operator.
 
     ``store`` is a :class:`~repro.webgraph.store.ShardedGraphStore` or a
-    path to one on disk; ``params`` carries the cache/worker policy
+    path to one on disk; ``params`` carries the block-cache bound
     (defaults when omitted).  The returned
-    :class:`~repro.linalg.BlockedOperator` owns any pool/cache resources
-    it sets up — close it (or use it as a context manager) when done.
+    :class:`~repro.linalg.BlockedOperator` owns its block cache — close
+    it (or use it as a context manager) when done.
     """
     params = params or GraphStoreParams()
-    return BlockedOperator(
-        store,
-        cache_blocks=params.cache_blocks,
-        workers=params.workers,
-        max_rebuilds=params.max_rebuilds,
-        task_timeout=params.task_timeout,
-    )
+    return BlockedOperator(store, cache_blocks=params.cache_blocks)
 
 
 class _SharedOperators:
@@ -113,19 +107,17 @@ class _SharedOperators:
     of the pipeline's cache stay valid.
     """
 
-    __slots__ = ("graph", "assignment", "source_graph", "_kernel", "_base", "_reversed")
+    __slots__ = ("graph", "assignment", "source_graph", "_base", "_reversed")
 
     def __init__(
         self,
         graph: PageGraph,
         assignment: SourceAssignment,
         source_graph: SourceGraph,
-        kernel: str,
     ) -> None:
         self.graph = graph
         self.assignment = assignment
         self.source_graph = source_graph
-        self._kernel = kernel
         self._base: CsrOperator | None = None
         self._reversed: ReversedOperator | None = None
 
@@ -133,7 +125,7 @@ class _SharedOperators:
     def base(self) -> CsrOperator:
         """The unthrottled source-matrix operator, built on first use."""
         if self._base is None:
-            self._base = CsrOperator(self.source_graph.matrix, kernel=self._kernel)
+            self._base = CsrOperator(self.source_graph.matrix)
         return self._base
 
     @property
@@ -142,13 +134,6 @@ class _SharedOperators:
         if self._reversed is None:
             self._reversed = ReversedOperator(self.source_graph.matrix)
         return self._reversed
-
-    def close(self) -> None:
-        """Release kernel resources held by the built operators."""
-        if self._base is not None:
-            self._base.close()
-            self._base = None
-        self._reversed = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -227,9 +212,8 @@ class SpamResilientPipeline:
     raise :class:`~repro.errors.AuditError`.
 
     The pipeline is a context manager: ``with SpamResilientPipeline() as
-    pipe: ...`` guarantees the cached source graph and kernel resources
-    (shared memory for the parallel kernel) are released even when a
-    stage raises.
+    pipe: ...`` drops the cached source graph and its operators even when
+    a stage raises.
 
     Examples
     --------
@@ -313,28 +297,24 @@ class SpamResilientPipeline:
 
         A single-entry cache keyed on input identity: ``rank`` followed by
         ``baseline_sourcerank`` on the same web quotients the page graph
-        and sets up kernels exactly once.  A new ``(graph, assignment)``
-        pair evicts (and closes) the previous entry.
+        and builds each operator exactly once.  A new ``(graph,
+        assignment)`` pair evicts the previous entry.
         """
         key = (id(graph), id(assignment))
         if self._shared is not None and self._shared[0] == key:
             return self._shared[1]
-        if self._shared is not None:
-            self._shared[1].close()
+        # Release the previous web's graph and operators before building
+        # this one's, so two webs are never held at once.
+        self.clear_cache()
         shared = _SharedOperators(
-            graph,
-            assignment,
-            self.build_source_graph(graph, assignment),
-            self.ranking.kernel,
+            graph, assignment, self.build_source_graph(graph, assignment)
         )
         self._shared = (key, shared)
         return shared
 
     def clear_cache(self) -> None:
-        """Drop the cached source graph/operators and release resources."""
-        if self._shared is not None:
-            self._shared[1].close()
-            self._shared = None
+        """Drop the cached source graph and operators."""
+        self._shared = None
 
     def close(self) -> None:
         """Release all cached resources (alias of :meth:`clear_cache`)."""
@@ -344,8 +324,6 @@ class SpamResilientPipeline:
         return self
 
     def __exit__(self, *exc_info: object) -> None:
-        # Runs on error paths too: a stage that raises mid-rank must not
-        # leak the parallel kernel's shared-memory segments.
         self.close()
 
     @contextmanager
@@ -706,7 +684,7 @@ class SpamResilientPipeline:
         kappa:
             Explicit throttling vector over the store's sources.
         store_params:
-            Cache/worker policy for the blocked operator
+            Block-cache bound for the blocked operator
             (:class:`~repro.config.GraphStoreParams` defaults when
             omitted).
         """
@@ -719,25 +697,22 @@ class SpamResilientPipeline:
             throttled = ThrottledOperator(
                 base, kappa, full_throttle=self.full_throttle
             )
-            try:
-                with ExitStack() as stack:
-                    if self.events is not None:
-                        stack.enter_context(self.events.activate())
-                    emit_event(
-                        "pipeline_store_rank",
-                        sources=int(base.n),
-                        blocks=int(base.store.n_blocks),
-                        kernel=base.kernel,
-                        solver=self.ranking.solver,
-                    )
-                    return solver_registry.solve(
-                        throttled,
-                        self.ranking,
-                        solver=self.ranking.solver,
-                        label="sr-sourcerank:store",
-                    )
-            finally:
-                throttled.close()
+            with ExitStack() as stack:
+                if self.events is not None:
+                    stack.enter_context(self.events.activate())
+                emit_event(
+                    "pipeline_store_rank",
+                    sources=int(base.n),
+                    blocks=int(base.store.n_blocks),
+                    kernel=base.kernel,
+                    solver=self.ranking.solver,
+                )
+                return solver_registry.solve(
+                    throttled,
+                    self.ranking,
+                    solver=self.ranking.solver,
+                    label="sr-sourcerank:store",
+                )
         finally:
             base.close()
 

@@ -7,6 +7,7 @@ This package provides:
 
 * the :class:`~repro.linalg.operator.TransitionOperator` protocol and its
   concrete implementations (:class:`~repro.linalg.operator.CsrOperator`,
+  :class:`~repro.linalg.operator.BlockedOperator`,
   :class:`~repro.linalg.operator.ThrottledOperator`,
   :class:`~repro.linalg.operator.ReversedOperator`);
 * the shared fixed-point engine
@@ -16,13 +17,12 @@ This package provides:
   to solve functions.
 
 This layer sits below :mod:`repro.ranking` and :mod:`repro.throttle`:
-it may import only the substrate (errors, graph matrices, parallel
-kernels, observability).
+it may import only the substrate (errors, graph matrices, the shard
+store, observability).
 """
 
 from .iterate import ConvergenceInfo, iterate_to_fixpoint, residual_norm
 from .operator import (
-    KERNELS,
     BlockedOperator,
     CsrOperator,
     ReversedOperator,
@@ -45,7 +45,6 @@ __all__ = [
     "ConvergenceInfo",
     "iterate_to_fixpoint",
     "residual_norm",
-    "KERNELS",
     "TransitionOperator",
     "CsrOperator",
     "BlockedOperator",

@@ -135,8 +135,9 @@ def iterate_to_fixpoint(
     label:
         Human-readable solve tag; falls back to ``solver``.
     kernel:
-        Matvec kernel name, forwarded to spans/telemetry when set (the
-        linear solvers pass ``None`` — they have no kernel choice).
+        The operator's telemetry tag (``scipy``/``blocked``), forwarded
+        to spans/telemetry when set (the linear solvers pass ``None`` —
+        they iterate on a materialized matrix, not an operator).
     dangling_mask:
         Boolean mask of dangling rows.  When given, the dangling-row
         count is reported at solve start and the current dangling mass on

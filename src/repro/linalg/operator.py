@@ -9,22 +9,23 @@ This module makes that operator explicit:
 * :class:`TransitionOperator` — the protocol the solvers iterate against
   (``rmatvec``, order, dangling mask, kernel name, ``materialize`` for
   solvers that need an explicit matrix);
-* :class:`CsrOperator` — a concrete CSR matrix behind one of the three
-  matvec kernels (``scipy`` / ``chunked`` / ``parallel``), absorbing the
-  kernel dispatch that used to live inside the power solver;
+* :class:`CsrOperator` — a concrete CSR matrix whose transpose matvec
+  runs through a transposed CSR built once;
 * :class:`BlockedOperator` — the out-of-core path: a
   :class:`~repro.webgraph.store.ShardedGraphStore` behind a bounded cache
   of decoded row blocks, so the fixpoint streams shards from disk and the
-  full matrix is never assembled (``blocked`` serial kernel or
-  ``blocked-parallel`` via the shm block workers);
+  full matrix is never assembled;
 * :class:`ThrottledOperator` — the influence-throttle transform
   ``T' -> T''`` (Section 3.3) applied *lazily* as a per-row out-scale plus
   a diagonal self-edge term, so Spam-Resilient SourceRank never
   materializes ``T''`` (κ-sweeps and incremental reruns reuse one base
-  matrix — and, for the scipy kernel, one transposed CSR);
+  matrix and one transposed CSR);
 * :class:`ReversedOperator` — the Section 5 spam-proximity walk over the
   reversed source graph, expressed as a *forward* matvec on the original
   orientation, so no reversed CSR is ever built.
+
+Every ``rmatvec`` returns a freshly allocated vector, so callers may keep
+or mutate a result across further calls.
 
 The algebra behind the lazy forms:
 
@@ -46,10 +47,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..errors import ConfigError, GraphError, ThrottleError
-from ..parallel.chunked import chunked_rmatvec
 
 __all__ = [
-    "KERNELS",
     "TransitionOperator",
     "CsrOperator",
     "BlockedOperator",
@@ -58,9 +57,6 @@ __all__ = [
     "as_operator",
     "as_matrix",
 ]
-
-#: The transpose-matvec kernels a :class:`CsrOperator` can run on.
-KERNELS = ("scipy", "chunked", "parallel")
 
 _FULL_THROTTLE_MODES = ("self", "dangling")
 _DANGLING_ATOL = 1e-12
@@ -83,7 +79,7 @@ class TransitionOperator(Protocol):
 
     @property
     def kernel(self) -> str:
-        """Name of the matvec kernel backing :meth:`rmatvec`."""
+        """Telemetry tag naming the matvec path (``scipy`` or ``blocked``)."""
         ...
 
     @property
@@ -92,44 +88,20 @@ class TransitionOperator(Protocol):
         ...
 
     def rmatvec(self, x: np.ndarray) -> np.ndarray:
-        """Compute ``A^T @ x``.
-
-        The returned vector may be a kernel-owned buffer that stays valid
-        only until the *second-next* ``rmatvec`` call; callers that keep
-        results across iterations must copy.
-        """
+        """Compute ``A^T @ x`` as a new array."""
         ...
 
     def materialize(self) -> sp.csr_matrix:
         """The operator as an explicit CSR matrix (may be built on demand)."""
         ...
 
-    def close(self) -> None:
-        """Release kernel resources (shared memory), if any."""
-        ...
-
 
 class CsrOperator:
-    """A CSR transition matrix behind a pluggable transpose-matvec kernel.
+    """A CSR transition matrix with a cached transpose for ``A^T x``."""
 
-    Instances hold preallocated work buffers; they are not thread-safe.
-    The ``chunked`` kernel double-buffers its output: each call fills the
-    buffer the *previous* call did not return, so the last returned vector
-    stays valid across one further call without any per-iteration
-    allocation or copy.
-    """
+    __slots__ = ("matrix", "_mask", "_at")
 
-    __slots__ = (
-        "matrix",
-        "_kernel",
-        "_mask",
-        "_at",
-        "_buffers",
-        "_active",
-        "_shared",
-    )
-
-    def __init__(self, matrix: sp.spmatrix, *, kernel: str = "scipy") -> None:
+    def __init__(self, matrix: sp.spmatrix) -> None:
         if not sp.issparse(matrix):
             raise GraphError(
                 "CsrOperator requires a scipy sparse matrix, got "
@@ -138,31 +110,11 @@ class CsrOperator:
         matrix = matrix.tocsr()
         if matrix.shape[0] != matrix.shape[1]:
             raise GraphError(f"transition matrix must be square, got {matrix.shape}")
-        if kernel not in KERNELS:
-            raise ConfigError(
-                f"kernel must be one of {KERNELS}, got {kernel!r}"
-            )
-        n = matrix.shape[0]
         self.matrix = matrix
-        self._kernel = kernel
         self._mask = np.asarray(matrix.sum(axis=1)).ravel() <= _DANGLING_ATOL
-        self._at: sp.csr_matrix | None = None
-        self._buffers: tuple[np.ndarray, np.ndarray] | None = None
-        self._active = 0
-        self._shared = None
-        if kernel == "scipy":
-            # Transpose-CSC view reused every iteration: A^T x is fastest
-            # via the CSR of A^T, built once.
-            self._at = matrix.T.tocsr()
-        elif kernel == "chunked":
-            self._buffers = (
-                np.empty(n, dtype=np.float64),
-                np.empty(n, dtype=np.float64),
-            )
-        else:
-            from ..parallel.shared import SharedCsrMatvec
-
-            self._shared = SharedCsrMatvec(matrix)
+        # A^T x is fastest via the CSR of A^T, built once and reused every
+        # iteration.
+        self._at = matrix.T.tocsr()
 
     @property
     def n(self) -> int:
@@ -171,8 +123,8 @@ class CsrOperator:
 
     @property
     def kernel(self) -> str:
-        """The configured matvec kernel."""
-        return self._kernel
+        """Always ``scipy`` (the telemetry tag of the in-memory matvec)."""
+        return "scipy"
 
     @property
     def dangling_mask(self) -> np.ndarray:
@@ -185,37 +137,15 @@ class CsrOperator:
         return int(self._mask.sum())
 
     def rmatvec(self, x: np.ndarray) -> np.ndarray:
-        """``A^T @ x`` on the configured kernel (see the class docstring
-        for the chunked kernel's buffer-validity contract)."""
-        if self._at is not None:
-            return self._at @ x
-        if self._buffers is not None:
-            out = self._buffers[self._active]
-            self._active ^= 1
-            return chunked_rmatvec(self.matrix, x, out=out)
-        return self._shared.rmatvec(x)  # type: ignore[union-attr]
+        """``A^T @ x`` through the cached transposed CSR."""
+        return self._at @ x
 
     def materialize(self) -> sp.csr_matrix:
         """The backing CSR matrix itself (no copy)."""
         return self.matrix
 
-    def close(self) -> None:
-        """Release the parallel kernel's shared memory, if any."""
-        if self._shared is not None:
-            self._shared.close()
-            self._shared = None
-
-    def __enter__(self) -> "CsrOperator":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
     def __repr__(self) -> str:
-        return (
-            f"CsrOperator(n={self.n}, nnz={self.matrix.nnz}, "
-            f"kernel={self._kernel!r})"
-        )
+        return f"CsrOperator(n={self.n}, nnz={self.matrix.nnz})"
 
 
 class BlockedOperator:
@@ -230,12 +160,6 @@ class BlockedOperator:
     larger graphs re-decode shards each sweep (the honest out-of-core
     cost, measured by ``benchmarks/bench_sharding.py``).
 
-    With ``workers > 0`` the matvec runs block-parallel on the shm worker
-    pool (:class:`~repro.parallel.shared.SharedBlockedMatvec`): only the
-    iterate is published to shared memory, workers decode their own shards,
-    and the evaluator inherits the pool-rebuild/serial-degradation
-    resilience of the in-memory parallel kernel.
-
     Composes under :class:`ThrottledOperator` — the store's one streaming
     stats pass provides the base diagonal and row sums the throttle
     algebra needs, so κ stays lazy on top of a lazy matrix.
@@ -248,19 +172,10 @@ class BlockedOperator:
         "_mask",
         "_sums",
         "_diag",
-        "_shared",
         "_closed",
     )
 
-    def __init__(
-        self,
-        store: object,
-        *,
-        cache_blocks: int = 4,
-        workers: int = 0,
-        max_rebuilds: int = 2,
-        task_timeout: float | None = None,
-    ) -> None:
+    def __init__(self, store: object, *, cache_blocks: int = 4) -> None:
         from ..webgraph.store import ShardedGraphStore
 
         if isinstance(store, (str, Path)):
@@ -273,9 +188,6 @@ class BlockedOperator:
         cache_blocks = int(cache_blocks)
         if cache_blocks < 1:
             raise ConfigError(f"cache_blocks must be >= 1, got {cache_blocks}")
-        workers = int(workers or 0)
-        if workers < 0:
-            raise ConfigError(f"workers must be >= 0, got {workers}")
         self._store = store
         self._cache: "OrderedDict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]" = (
             OrderedDict()
@@ -287,17 +199,6 @@ class BlockedOperator:
         self._diag = store.diagonal()
         self._mask = self._sums <= _DANGLING_ATOL
         self._closed = False
-        self._shared = None
-        if workers:
-            from ..parallel.shared import SharedBlockedMatvec
-
-            self._shared = SharedBlockedMatvec(
-                store,
-                n_workers=workers,
-                cache_blocks=cache_blocks,
-                max_rebuilds=max_rebuilds,
-                task_timeout=task_timeout,
-            )
 
     @property
     def n(self) -> int:
@@ -306,8 +207,8 @@ class BlockedOperator:
 
     @property
     def kernel(self) -> str:
-        """``blocked`` (serial streaming) or ``blocked-parallel`` (shm pool)."""
-        return "blocked" if self._shared is None else "blocked-parallel"
+        """Always ``blocked`` (the telemetry tag of shard streaming)."""
+        return "blocked"
 
     @property
     def dangling_mask(self) -> np.ndarray:
@@ -369,8 +270,6 @@ class BlockedOperator:
             raise GraphError(
                 f"vector has shape {x.shape}, operator expects ({self.n},)"
             )
-        if self._shared is not None:
-            return self._shared.rmatvec(x)
         y = np.zeros(self.n, dtype=np.float64)
         for info in self._store.shards:
             rows, cols, vals = self._block_arrays(info.block_id)
@@ -385,11 +284,8 @@ class BlockedOperator:
         return self._store.materialize()
 
     def close(self) -> None:
-        """Drop the block cache and release the parallel evaluator."""
+        """Drop the block cache; later matvecs raise."""
         self._cache.clear()
-        if self._shared is not None:
-            self._shared.close()
-            self._shared = None
         self._closed = True
 
     def __enter__(self) -> "BlockedOperator":
@@ -401,7 +297,7 @@ class BlockedOperator:
     def __repr__(self) -> str:
         return (
             f"BlockedOperator(n={self.n}, blocks={self._store.n_blocks}, "
-            f"cache_blocks={self._cache_blocks}, kernel={self.kernel!r})"
+            f"cache_blocks={self._cache_blocks})"
         )
 
 
@@ -420,8 +316,9 @@ class ThrottledOperator:
     ----------
     base:
         The unthrottled source operator ``T'`` — a :class:`CsrOperator`
-        (shared across sweeps) or a row-stochastic CSR matrix (wrapped
-        here, closed with this operator).
+        (shared across sweeps), any operator exposing its diagonal and
+        row sums (:class:`BlockedOperator`), or a row-stochastic CSR
+        matrix (wrapped here).
     kappa:
         Throttling factors in ``[0, 1]``, one per source (a
         :class:`~repro.throttle.vector.ThrottleVector` or array-like);
@@ -430,14 +327,10 @@ class ThrottledOperator:
         κ = 1 semantics: ``"self"`` (the literal Section 3.3 transform)
         or ``"dangling"`` (fully-throttled rows pass nothing at all) —
         see :mod:`repro.throttle.transform` for the discussion.
-    kernel:
-        Kernel for the base operator when ``base`` is a raw matrix;
-        ignored when ``base`` is already an operator.
     """
 
     __slots__ = (
         "_base",
-        "_owns_base",
         "_scale",
         "_shift",
         "_kappa",
@@ -454,15 +347,13 @@ class ThrottledOperator:
         kappa: object = None,
         *,
         full_throttle: str = "self",
-        kernel: str = "scipy",
     ) -> None:
         if full_throttle not in _FULL_THROTTLE_MODES:
             raise ThrottleError(
                 f"full_throttle must be one of {_FULL_THROTTLE_MODES}, got "
                 f"{full_throttle!r}"
             )
-        owns = sp.issparse(base)
-        base_op = CsrOperator(base, kernel=kernel) if owns else base
+        base_op = CsrOperator(base) if sp.issparse(base) else base
         # Duck-typed: the transform needs the base diagonal and row sums —
         # either from an explicit ``.matrix`` (CsrOperator, FaultyOperator)
         # or from ``diagonal()``/``row_sums()`` methods (BlockedOperator,
@@ -512,7 +403,6 @@ class ThrottledOperator:
         new_diag = np.where(needs, k, diag)
         new_diag[full] = 0.0
         self._base = base_op
-        self._owns_base = owns
         self._scale = scale
         # T''_ii = scale_i * T'_ii + shift_i, exactly as the materialized
         # transform overwrites the scaled diagonal with new_diag.
@@ -531,7 +421,7 @@ class ThrottledOperator:
 
     @property
     def kernel(self) -> str:
-        """The base operator's matvec kernel."""
+        """The base operator's telemetry tag."""
         return self._base.kernel
 
     @property
@@ -577,8 +467,6 @@ class ThrottledOperator:
             return self._base.rmatvec(x)
         x = np.asarray(x, dtype=np.float64)
         y = self._base.rmatvec(self._scale * x)
-        # y may be a kernel-owned buffer; it is ours to mutate until the
-        # next rmatvec, so accumulate the diagonal term in place.
         y += self._shift * x
         return y
 
@@ -599,17 +487,6 @@ class ThrottledOperator:
             ThrottleVector(self._kappa),
             full_throttle=self._full_throttle,
         )
-
-    def close(self) -> None:
-        """Close the base operator if this instance created it."""
-        if self._owns_base:
-            self._base.close()
-
-    def __enter__(self) -> "ThrottledOperator":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
 
     def __repr__(self) -> str:
         return (
@@ -672,7 +549,7 @@ class ReversedOperator:
 
     @property
     def kernel(self) -> str:
-        """Always the scipy forward-matvec kernel."""
+        """Always ``scipy`` (the telemetry tag of the in-memory matvec)."""
         return "scipy"
 
     @property
@@ -692,15 +569,6 @@ class ReversedOperator:
             self._binary.T.tocsr().astype(np.float64), copy=False
         )
 
-    def close(self) -> None:
-        """Nothing to release."""
-
-    def __enter__(self) -> "ReversedOperator":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
     def __repr__(self) -> str:
         return (
             f"ReversedOperator(n={self.n}, edges={self._binary.nnz}, "
@@ -708,16 +576,10 @@ class ReversedOperator:
         )
 
 
-def as_operator(
-    operand: "TransitionOperator | sp.spmatrix", *, kernel: str = "scipy"
-) -> "TransitionOperator":
-    """Coerce a CSR matrix to a :class:`CsrOperator`; pass operators through.
-
-    ``kernel`` applies only when wrapping a raw matrix — an existing
-    operator keeps the kernel it was built with.
-    """
+def as_operator(operand: "TransitionOperator | sp.spmatrix") -> "TransitionOperator":
+    """Coerce a CSR matrix to a :class:`CsrOperator`; pass operators through."""
     if sp.issparse(operand):
-        return CsrOperator(operand, kernel=kernel)
+        return CsrOperator(operand)
     if hasattr(operand, "rmatvec") and hasattr(operand, "n"):
         return operand
     raise GraphError(

@@ -10,18 +10,18 @@ and extensible by downstream code::
 
     @register_solver("my-solver")
     def my_solver(operand, params, *, teleport=None, x0=None, label="",
-                  dangling="linear", kernel=None, callback=None):
+                  dangling="linear", callback=None):
         ...
 
 Solver contract
 ---------------
 A solver is a callable ``fn(operand, params, *, teleport=None, x0=None,
-label="", dangling="linear", kernel=None, callback=None)`` returning
+label="", dangling="linear", callback=None)`` returning
 ``(scores, ConvergenceInfo)``.  ``operand`` is a CSR matrix or a
 :class:`~repro.linalg.operator.TransitionOperator`; solvers that need an
 explicit matrix call :func:`~repro.linalg.operator.as_matrix` on it.
-Solvers without a kernel choice (Jacobi, Gauss–Seidel) accept and ignore
-``dangling``/``kernel``.
+Solvers without a dangling-strategy choice (Jacobi, Gauss–Seidel) accept
+and ignore ``dangling``.
 
 The built-in solvers live in :mod:`repro.ranking`, which sits *above*
 this layer, so they are resolved lazily on first lookup rather than

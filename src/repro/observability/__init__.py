@@ -24,7 +24,7 @@ Cooperating layers, all optional and all zero-cost when unused:
 * :mod:`~repro.observability.progress` — the :class:`ProgressCallback`
   per-iteration hook threaded through ``RankingParams.progress``, with
   :class:`SolverTelemetry` as the standard collector of residual curves,
-  matvec timings, kernel choice, and dangling-mass stats.
+  matvec timings, the operator's kernel tag, and dangling-mass stats.
 * :mod:`~repro.observability.ledger` — the perf-trajectory ledger:
   committed benchmark results folded into one schema-validated trend
   table with a CI regression gate (``repro ledger compare``).

@@ -79,7 +79,7 @@ def write_metrics(
 ) -> Path:
     """Write telemetry to ``path`` (JSON, or Prometheus text for ``.prom``).
 
-    Returns the path written.
+    Missing parent directories are created.  Returns the path written.
     """
     path = Path(path)
     if path.suffix == ".prom":
@@ -94,6 +94,7 @@ def write_metrics(
             meta=meta,
         )
         text = json.dumps(payload, indent=2, sort_keys=True, default=repr) + "\n"
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text, encoding="utf-8")
     return path
 

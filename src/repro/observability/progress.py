@@ -6,8 +6,8 @@ Jacobi, Gauss–Seidel) accept an optional :class:`ProgressCallback` via
 loop performs **no** timing calls and **no** per-iteration allocation;
 when set, the solver emits:
 
-* ``on_solve_start``: solve shape (label, solver, kernel choice, matrix
-  order, dangling-row count, stopping rule);
+* ``on_solve_start``: solve shape (label, solver, the operator's kernel
+  tag, matrix order, dangling-row count, stopping rule);
 * ``on_iteration``: residual, step wall-time, and (power solver) the
   current dangling mass;
 * ``on_solve_end``: the final :class:`~repro.ranking.base.ConvergenceInfo`.

@@ -11,9 +11,7 @@ walks; they differ in the transition matrix:
   influence-throttled matrix ``T''`` (Eq. 3, the paper's contribution).
 
 Three linear solvers are provided (power iteration — the paper's choice —
-plus Jacobi and Gauss–Seidel for the solver ablation), and the power
-iteration can run on three matvec kernels (scipy, cache-chunked,
-shared-memory parallel).
+plus Jacobi and Gauss–Seidel for the solver ablation).
 """
 
 from .base import ConvergenceInfo, RankingResult

@@ -44,18 +44,17 @@ def gauss_seidel_solve(
     x0: np.ndarray | None = None,
     label: str = "",
     dangling: str = "linear",
-    kernel: str | None = None,
     callback: Callable[[int, float], None] | None = None,
 ) -> RankingResult:
     """Solve the ranking linear system with Gauss–Seidel sweeps.
 
     Parameters mirror :func:`repro.ranking.power.power_iteration`; dangling
-    mass follows the paper's "linear" semantics, so the ``dangling`` and
-    ``kernel`` arguments of the uniform solver signature are accepted and
-    ignored.  Operator operands are materialized — the triangular
-    splitting needs the explicit matrix.
+    mass follows the paper's "linear" semantics, so the ``dangling``
+    argument of the uniform solver signature is accepted and ignored.
+    Operator operands are materialized — the triangular splitting needs
+    the explicit matrix.
     """
-    del dangling, kernel  # linear-solver path: no strategy/kernel choice
+    del dangling  # linear-solver path: no dangling-strategy choice
     matrix = as_matrix(operand)
     n = matrix.shape[0]
     c = uniform_teleport(n) if teleport is None else np.asarray(teleport, dtype=np.float64).ravel()

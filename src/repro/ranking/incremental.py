@@ -185,7 +185,7 @@ class IncrementalSourceRank:
             :class:`~repro.resilience.FaultyOperator`; production code
             leaves it ``None``.
         solve_kwargs:
-            Extra keywords (``callback``, ``kernel``, ...) forwarded to
+            Extra keywords (``callback``, ``solver``, ...) forwarded to
             :func:`~repro.ranking.srsourcerank.spam_resilient_sourcerank`
             on top of the constructor-level ``solve_kwargs``.
 
@@ -221,26 +221,19 @@ class IncrementalSourceRank:
             kappa = ThrottleVector(padded)
         x0 = _padded_warm_start(self._last, n)
         kwargs = {**self.solve_kwargs, **solve_kwargs}
-        base_op = None
         if operator_wrap is not None:
             from ..linalg.operator import CsrOperator
 
-            kernel = str(kwargs.get("kernel") or self.params.kernel)
-            base_op = CsrOperator(source_graph.matrix, kernel=kernel)
-            kwargs["operator"] = operator_wrap(base_op)
-        try:
-            with span("incremental:sourcerank", warm=x0 is not None, n=n):
-                result = spam_resilient_sourcerank(
-                    source_graph,
-                    kappa,
-                    self.params,
-                    x0=x0,
-                    full_throttle=self.full_throttle,
-                    **kwargs,
-                )
-        finally:
-            if base_op is not None:
-                base_op.close()
+            kwargs["operator"] = operator_wrap(CsrOperator(source_graph.matrix))
+        with span("incremental:sourcerank", warm=x0 is not None, n=n):
+            result = spam_resilient_sourcerank(
+                source_graph,
+                kappa,
+                self.params,
+                x0=x0,
+                full_throttle=self.full_throttle,
+                **kwargs,
+            )
         _logger.debug(
             "incremental sourcerank (%s start): %s",
             "warm" if x0 is not None else "cold",

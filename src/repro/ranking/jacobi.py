@@ -45,7 +45,6 @@ def jacobi_solve(
     x0: np.ndarray | None = None,
     label: str = "",
     dangling: str = "linear",
-    kernel: str | None = None,
     callback: Callable[[int, float], None] | None = None,
 ) -> RankingResult:
     """Solve the ranking linear system with Jacobi iterations.
@@ -53,11 +52,11 @@ def jacobi_solve(
     Parameters mirror :func:`repro.ranking.power.power_iteration`; dangling
     mass follows the paper's "linear" semantics (leak + final
     renormalization inside :class:`~repro.ranking.base.RankingResult`), so
-    the ``dangling`` and ``kernel`` arguments of the uniform solver
-    signature are accepted and ignored.  Operator operands are
-    materialized — Jacobi needs the explicit matrix diagonal.
+    the ``dangling`` argument of the uniform solver signature is accepted
+    and ignored.  Operator operands are materialized — Jacobi needs the
+    explicit matrix diagonal.
     """
-    del dangling, kernel  # linear-solver path: no strategy/kernel choice
+    del dangling  # linear-solver path: no dangling-strategy choice
     matrix = as_matrix(operand)
     n = matrix.shape[0]
     c = uniform_teleport(n) if teleport is None else np.asarray(teleport, dtype=np.float64).ravel()

@@ -29,7 +29,6 @@ def pagerank(
     x0: np.ndarray | None = None,
     solver: str | None = None,
     dangling: str = "linear",
-    kernel: str | None = None,
 ) -> RankingResult:
     """Compute the PageRank vector of a page graph.
 
@@ -54,9 +53,6 @@ def pagerank(
     dangling:
         Dangling-mass strategy (power solver only; the linear solvers use
         the paper's leak-and-renormalize semantics by construction).
-    kernel:
-        Matvec kernel for the power solver; ``None`` takes
-        ``params.kernel``.
 
     Returns
     -------
@@ -73,5 +69,4 @@ def pagerank(
         teleport=teleport,
         x0=x0,
         dangling=dangling,
-        kernel=kernel,
     )

@@ -13,15 +13,13 @@ reversed walks run here without materializing their matrices.  The
 iteration stops when the chosen norm of successive iterates drops below
 the tolerance — the paper uses the L2 norm at ``1e-9``.
 
-The transpose matvec runs on the kernels provided by
-:class:`~repro.linalg.operator.CsrOperator` (``"scipy"``, ``"chunked"``,
-``"parallel"``); the iteration loop itself lives in
-:func:`repro.linalg.iterate.iterate_to_fixpoint`.
+The transpose matvec is the operand's ``rmatvec``; the iteration loop
+itself lives in :func:`repro.linalg.iterate.iterate_to_fixpoint`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Literal
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -37,8 +35,6 @@ from .teleport import uniform_teleport
 
 __all__ = ["power_iteration", "PowerOperator", "residual_norm"]
 
-Kernel = Literal["scipy", "chunked", "parallel"]
-
 
 class PowerOperator:
     """One step of the teleporting-walk update over a transition operator.
@@ -47,8 +43,7 @@ class PowerOperator:
     + (1 - alpha) * teleport`` where the leak term depends on the dangling
     strategy.  ``A`` is any :class:`~repro.linalg.operator.TransitionOperator`;
     a raw CSR matrix is wrapped in a
-    :class:`~repro.linalg.operator.CsrOperator` on the requested kernel
-    (and closed with this instance).  Instances are not thread-safe.
+    :class:`~repro.linalg.operator.CsrOperator`.
     """
 
     def __init__(
@@ -58,10 +53,8 @@ class PowerOperator:
         teleport: np.ndarray,
         *,
         dangling: str = "linear",
-        kernel: Kernel = "scipy",
     ) -> None:
-        self._owns_op = sp.issparse(operand)
-        op = as_operator(operand, kernel=kernel)
+        op = as_operator(operand)
         n = op.n
         teleport = np.asarray(teleport, dtype=np.float64).ravel()
         if teleport.size != n:
@@ -85,7 +78,7 @@ class PowerOperator:
 
     @property
     def kernel(self) -> str:
-        """The operator's matvec kernel."""
+        """The operator's telemetry tag."""
         return self._op.kernel
 
     @property
@@ -104,7 +97,7 @@ class PowerOperator:
         return int(self._op.dangling_mask.sum())
 
     def rmatvec(self, x: np.ndarray) -> np.ndarray:
-        """``A^T @ x`` on the operator's kernel."""
+        """``A^T @ x`` through the operator."""
         return self._op.rmatvec(x)
 
     def step(self, x: np.ndarray) -> np.ndarray:
@@ -119,17 +112,6 @@ class PowerOperator:
         y += (1.0 - self.alpha) * self.teleport
         return y
 
-    def close(self) -> None:
-        """Release the wrapped operator's resources if this instance owns it."""
-        if self._owns_op:
-            self._op.close()
-
-    def __enter__(self) -> "PowerOperator":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
 
 def power_iteration(
     operand: "sp.csr_matrix | TransitionOperator",
@@ -138,7 +120,6 @@ def power_iteration(
     teleport: np.ndarray | None = None,
     x0: np.ndarray | None = None,
     dangling: str = "linear",
-    kernel: Kernel | None = None,
     label: str = "",
     callback: Callable[[int, float], None] | None = None,
 ) -> RankingResult:
@@ -159,9 +140,6 @@ def power_iteration(
         spam-scenario experiments); defaults to the teleport vector.
     dangling:
         Dangling-mass strategy (see :mod:`repro.ranking.dangling`).
-    kernel:
-        Transpose-matvec kernel for matrix operands; ``None`` takes
-        ``params.kernel``.  Operator operands keep their own kernel.
     label:
         Human-readable tag stored on the result.
     callback:
@@ -172,38 +150,31 @@ def power_iteration(
     ConvergenceError
         When ``params.strict`` and ``max_iter`` is exhausted first.
     """
-    if kernel is None:
-        kernel = getattr(params, "kernel", "scipy")
     if dangling == "self":
         from .dangling import apply_self_loops
 
         operand = apply_self_loops(as_matrix(operand))
-    owns = sp.issparse(operand)
-    inner = as_operator(operand, kernel=kernel)
-    try:
-        n = inner.n
-        c = (
-            uniform_teleport(n)
-            if teleport is None
-            else np.asarray(teleport, dtype=np.float64).ravel()
-        )
-        op = PowerOperator(inner, params.alpha, c, dangling=dangling)
-        x = c.copy() if x0 is None else np.asarray(x0, dtype=np.float64).ravel().copy()
-        if x.size != n:
-            raise GraphError(f"x0 length {x.size} != matrix order {n}")
-        x, info = iterate_to_fixpoint(
-            op.step,
-            x,
-            params,
-            solver="power",
-            label=label or "power",
-            kernel=op.kernel,
-            dangling_mask=op.dangling_mask,
-            callback=callback,
-        )
-    finally:
-        if owns:
-            inner.close()
+    inner = as_operator(operand)
+    n = inner.n
+    c = (
+        uniform_teleport(n)
+        if teleport is None
+        else np.asarray(teleport, dtype=np.float64).ravel()
+    )
+    op = PowerOperator(inner, params.alpha, c, dangling=dangling)
+    x = c.copy() if x0 is None else np.asarray(x0, dtype=np.float64).ravel().copy()
+    if x.size != n:
+        raise GraphError(f"x0 length {x.size} != matrix order {n}")
+    x, info = iterate_to_fixpoint(
+        op.step,
+        x,
+        params,
+        solver="power",
+        label=label or "power",
+        kernel=op.kernel,
+        dangling_mask=op.dangling_mask,
+        callback=callback,
+    )
     return RankingResult(x, info, label=label)
 
 

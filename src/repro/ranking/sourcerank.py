@@ -25,7 +25,6 @@ def sourcerank(
     teleport: np.ndarray | None = None,
     x0: np.ndarray | None = None,
     solver: str | None = None,
-    kernel: str | None = None,
     operator: TransitionOperator | None = None,
 ) -> RankingResult:
     """Compute the baseline (unthrottled) SourceRank vector.
@@ -36,7 +35,7 @@ def sourcerank(
     ``operator`` optionally supplies a prebuilt
     :class:`~repro.linalg.operator.TransitionOperator` over the source
     matrix so repeated solves (the pipeline's baseline comparison, κ-sweeps)
-    reuse one kernel setup; the caller keeps ownership of it.
+    reuse one transposed CSR.
     """
     params = params or RankingParams()
     return solver_registry.solve(
@@ -46,5 +45,4 @@ def sourcerank(
         label="sourcerank",
         teleport=teleport,
         x0=x0,
-        kernel=kernel,
     )

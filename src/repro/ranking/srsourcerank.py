@@ -43,7 +43,6 @@ def spam_resilient_sourcerank(
     teleport: np.ndarray | None = None,
     x0: np.ndarray | None = None,
     solver: str | None = None,
-    kernel: str | None = None,
     full_throttle: str = "self",
     operator: CsrOperator | None = None,
     callback: "Callable[[int, float], None] | None" = None,
@@ -60,7 +59,7 @@ def spam_resilient_sourcerank(
         baseline SourceRank (the κ=0 walk is the unthrottled walk).
     params:
         Mixing parameter and stopping rule (paper defaults when omitted).
-    teleport, x0, solver, kernel:
+    teleport, x0, solver:
         As in :func:`repro.ranking.pagerank.pagerank`.
     full_throttle:
         How κ = 1 sources behave: ``"self"`` (literal Section 3.3
@@ -68,8 +67,8 @@ def spam_resilient_sourcerank(
         Fig. 5 needs; see :mod:`repro.throttle.transform`).
     operator:
         Prebuilt :class:`~repro.linalg.operator.CsrOperator` over the
-        *unthrottled* source matrix; pass one to amortize kernel setup
-        across a κ-sweep.  The caller keeps ownership of it.
+        *unthrottled* source matrix; pass one to reuse its transposed
+        CSR across a κ-sweep.
     callback:
         Per-iteration ``(iteration, residual)`` hook forwarded to the
         solver (part of the uniform solver contract).
@@ -85,23 +84,17 @@ def spam_resilient_sourcerank(
         kappa = ThrottleVector.zeros(n)
     elif not isinstance(kappa, ThrottleVector):
         kappa = ThrottleVector(kappa)
-    resolved_kernel = kernel if kernel is not None else getattr(params, "kernel", "scipy")
     throttled = ThrottledOperator(
         source_graph.matrix if operator is None else operator,
         kappa,
         full_throttle=full_throttle,
-        kernel=resolved_kernel,
     )
-    try:
-        return solver_registry.solve(
-            throttled,
-            params,
-            solver=solver,
-            label="sr-sourcerank",
-            teleport=teleport,
-            x0=x0,
-            kernel=kernel,
-            callback=callback,
-        )
-    finally:
-        throttled.close()
+    return solver_registry.solve(
+        throttled,
+        params,
+        solver=solver,
+        label="sr-sourcerank",
+        teleport=teleport,
+        x0=x0,
+        callback=callback,
+    )

@@ -41,7 +41,6 @@ def trustrank(
     *,
     dangling: str = "linear",
     solver: str | None = None,
-    kernel: str | None = None,
 ) -> RankingResult:
     """Compute TrustRank over a page graph from a trusted seed set.
 
@@ -56,9 +55,8 @@ def trustrank(
         ``alpha = 0.85``).
     dangling:
         Dangling-mass strategy, as in :func:`repro.ranking.pagerank.pagerank`.
-    solver, kernel:
-        Registry solver name and power-kernel choice, as in
-        :func:`repro.ranking.pagerank.pagerank`.
+    solver:
+        Registry solver name, as in :func:`repro.ranking.pagerank.pagerank`.
 
     Returns
     -------
@@ -84,7 +82,6 @@ def trustrank(
         label="trustrank",
         teleport=d,
         dangling=dangling,
-        kernel=kernel,
     )
 
 

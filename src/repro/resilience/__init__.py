@@ -1,7 +1,7 @@
 """Resilience layer: guardrails, fallback chains, checkpoint/resume, faults.
 
 A production ranking service cannot afford to lose a long Eq. 3 power
-iteration to a single NaN, a broken worker pool, or a killed process.
+iteration to a single NaN or a killed process.
 This package makes every iterative solve in the library survivable:
 
 * :mod:`~repro.resilience.guards` — per-iteration numerical guardrails
@@ -36,7 +36,6 @@ from .fallback import FallbackChain, SolveAttempt, record_fallback
 from .faults import (
     FaultyOperator,
     SimulatedCrash,
-    break_worker_pool,
     crash_at_iteration,
 )
 from .guards import SolveGuard, record_guard_trip
@@ -54,5 +53,4 @@ __all__ = [
     "FaultyOperator",
     "SimulatedCrash",
     "crash_at_iteration",
-    "break_worker_pool",
 ]

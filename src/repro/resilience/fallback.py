@@ -42,7 +42,7 @@ def record_fallback(kind: str) -> None:
     """
     get_registry().counter(
         "repro_fallbacks_total",
-        "Recovery actions by kind (solver/pool_rebuild/serial_degrade)",
+        "Recovery actions by kind (solver)",
         labelnames=("kind",),
     ).labels(kind=kind).inc()
     emit_event("fallback", fallback_kind=kind)

@@ -15,9 +15,6 @@ resilience layer claims to survive, reproducibly:
 * :func:`crash_at_iteration` — a per-iteration callback raising
   :class:`SimulatedCrash` at iteration *k*, standing in for a killed
   process in in-process crash/resume tests (`os.kill` without the mess).
-* :func:`break_worker_pool` / :func:`_worker_suicide` — kill live pool
-  workers with ``os._exit`` so the next task genuinely observes
-  ``BrokenProcessPool``.
 
 On top of the solve-path faults sits the **distributed** fault plan for
 the replicated serving fleet (gray failures, not clean deaths):
@@ -49,7 +46,6 @@ corrupts the same vector positions every run, and the same
 from __future__ import annotations
 
 import errno
-import os
 import threading
 import time
 from dataclasses import dataclass
@@ -63,7 +59,6 @@ __all__ = [
     "SimulatedCrash",
     "FaultyOperator",
     "crash_at_iteration",
-    "break_worker_pool",
     "FAULT_KINDS",
     "FaultRule",
     "FaultPlan",
@@ -159,10 +154,6 @@ class FaultyOperator:
         """The base operator's explicit matrix (faults apply to matvecs only)."""
         return self._base.materialize()
 
-    def close(self) -> None:
-        """Delegate resource release to the base operator."""
-        self._base.close()
-
     def __repr__(self) -> str:
         return (
             f"FaultyOperator(n={self.n}, calls={self.calls}, "
@@ -188,11 +179,6 @@ def crash_at_iteration(
             raise SimulatedCrash(f"simulated crash at iteration {iteration}")
 
     return _callback
-
-
-def _worker_suicide() -> None:
-    """Pool task that kills its worker process outright (not an exception)."""
-    os._exit(1)
 
 
 #: Fault kinds the distributed plan understands.  The first four apply
@@ -572,24 +558,3 @@ class FaultyStore:
 
     def __repr__(self) -> str:
         return f"FaultyStore({self._base!r}, active={self.plan.active()})"
-
-
-def break_worker_pool(pool, *, n_kills: int = 1, wait: bool = True) -> None:
-    """Kill ``n_kills`` live workers of a pool so its next use breaks.
-
-    Accepts a :class:`~repro.parallel.executor.WorkerPool` (or anything
-    with ``submit``).  With ``wait`` (the default) each suicide future is
-    awaited, which blocks until the executor has actually observed the
-    worker death and marked itself broken — without it the next batch
-    can race the death notice and succeed on the surviving workers.
-    """
-    for _ in range(max(int(n_kills), 1)):
-        try:
-            future = pool.submit(_worker_suicide)
-        except Exception:  # noqa: BLE001 - pool may already be broken
-            return
-        if wait:
-            try:
-                future.result(timeout=30)
-            except Exception:  # noqa: BLE001 - BrokenProcessPool expected
-                pass

@@ -143,7 +143,8 @@ class SolveGuard:
                         iteration, residual, self._tolerance, what="iterate"
                     )
                 )
-            # np.copy here, not slicing: kernel-owned buffers get recycled.
+            # A copy, so the warm start survives whatever the solver's
+            # step function later does to its iterate.
             self._last_finite = np.array(x, dtype=np.float64, copy=True)
 
         # --- divergence -----------------------------------------------------

@@ -8,8 +8,7 @@ delta-gap transformed (:mod:`repro.webgraph.gaps`, first entry relative to
 the *global* row id so locality survives sharding) and LEB128 varint coded
 (:mod:`repro.webgraph.varint`).  Every shard is decodable independently —
 ``load_block(i)`` touches exactly one file — which is what lets the blocked
-operator and the shm workers stream the fixpoint without ever assembling the
-full matrix.
+operator stream the fixpoint without ever assembling the full matrix.
 
 Durability reuses the snapshot-store idioms: shards are published with
 ``atomic_savez`` (tmp + fsync + ``os.replace``), the manifest carries a

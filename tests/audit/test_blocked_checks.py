@@ -66,17 +66,9 @@ class TestThrottledOperatorBlocks:
         for mode in ("self", "dangling"):
             with BlockedOperator(store, cache_blocks=2) as base:
                 op = ThrottledOperator(base, kappa, full_throttle=mode)
-                try:
-                    assert check_throttled_operator_blocks(op) == []
-                finally:
-                    op.close()
+                assert check_throttled_operator_blocks(op) == []
 
     def test_rejects_in_memory_base(self, matrix):
-        base = CsrOperator(matrix)
-        op = ThrottledOperator(base, np.zeros(matrix.shape[0]))
-        try:
-            with pytest.raises(GraphError, match="blocked base"):
-                check_throttled_operator_blocks(op)
-        finally:
-            op.close()
-            base.close()
+        op = ThrottledOperator(CsrOperator(matrix), np.zeros(matrix.shape[0]))
+        with pytest.raises(GraphError, match="blocked base"):
+            check_throttled_operator_blocks(op)

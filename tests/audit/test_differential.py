@@ -48,19 +48,23 @@ class TestCaseSuite:
 
 class TestOracle:
     def test_all_registered_combinations_agree(self):
-        """The ISSUE acceptance bar: every solver x kernel x operand path
-        agrees to 1e-9 on the full seeded suite."""
+        """The acceptance bar: every solver x operand path agrees to 1e-9
+        on the full seeded suite."""
         report = run_differential_oracle(seed=0)
         assert report.passed, report.to_json()
         assert report.disagreements == []
         assert report.invariant_violations == []
-        # power runs 3 kernels x {lazy, materialized}, each linear solver
-        # 1 x 2, plus one blocked (out-of-core) combo per solver.
-        per_case = 3 * 2 + (len(BUILTIN_SOLVERS) - 1) * 2 + len(BUILTIN_SOLVERS)
-        assert report.n_combos == per_case * len(report.cases)
+        # Each solver runs the lazy, materialized and blocked operands.
+        assert len(report.cases) == 6
+        assert report.n_combos == 54
         for case in report.cases:
             assert case["max_pairwise_diff"] <= AGREEMENT_ATOL
             assert all(c["converged"] for c in case["combos"])
+            assert sorted(c["key"] for c in case["combos"]) == sorted(
+                f"{solver}/{operand}"
+                for solver in BUILTIN_SOLVERS
+                for operand in ("lazy", "materialized", "blocked")
+            )
 
     def test_report_json_roundtrip(self, tmp_path):
         report = run_differential_oracle(
@@ -70,8 +74,8 @@ class TestOracle:
         loaded = json.loads(path.read_text())
         assert loaded["passed"] is True
         assert loaded["seed"] == 1
-        # 3 kernels x {lazy, materialized} + 1 blocked combo for power.
-        assert loaded["cases"][0]["n_combos"] == 7
+        # power on the lazy, materialized and blocked operands.
+        assert loaded["cases"][0]["n_combos"] == 3
 
     def test_oracle_catches_a_broken_solver(self):
         """A solver with a perturbed score vector must be flagged against

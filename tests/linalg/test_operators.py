@@ -17,8 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import RankingParams
-from repro.errors import ConfigError, GraphError, ThrottleError
+from repro.errors import GraphError, ThrottleError
 from repro.linalg import (
+    BlockedOperator,
     CsrOperator,
     ReversedOperator,
     ThrottledOperator,
@@ -30,6 +31,7 @@ from repro.ranking.power import power_iteration
 from repro.throttle.spam_proximity import inverse_transition_matrix
 from repro.throttle.transform import throttle_transform
 from repro.throttle.vector import ThrottleVector
+from repro.webgraph.store import ShardedGraphStore
 
 
 def random_stochastic(seed: int, *, n_dangling: int = 0) -> sp.csr_matrix:
@@ -69,12 +71,10 @@ class TestThrottledOperatorMatchesTransform:
         )
         gen = np.random.default_rng(seed + 2)
         x = gen.random(n)
-        with ThrottledOperator(
-            matrix, kappa, full_throttle=full_throttle
-        ) as op:
-            np.testing.assert_allclose(
-                op.rmatvec(x), explicit.T @ x, atol=1e-13, rtol=1e-13
-            )
+        op = ThrottledOperator(matrix, kappa, full_throttle=full_throttle)
+        np.testing.assert_allclose(
+            op.rmatvec(x), explicit.T @ x, atol=1e-13, rtol=1e-13
+        )
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -87,12 +87,10 @@ class TestThrottledOperatorMatchesTransform:
         explicit = throttle_transform(
             matrix, ThrottleVector(kappa), full_throttle=full_throttle
         )
-        with ThrottledOperator(
-            matrix, kappa, full_throttle=full_throttle
-        ) as op:
-            assert (op.materialize() - explicit).nnz == 0 or np.allclose(
-                op.materialize().toarray(), explicit.toarray(), atol=1e-14
-            )
+        op = ThrottledOperator(matrix, kappa, full_throttle=full_throttle)
+        assert (op.materialize() - explicit).nnz == 0 or np.allclose(
+            op.materialize().toarray(), explicit.toarray(), atol=1e-14
+        )
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -106,10 +104,8 @@ class TestThrottledOperatorMatchesTransform:
             matrix, ThrottleVector(kappa), full_throttle=full_throttle
         )
         explicit_mask = np.asarray(explicit.sum(axis=1)).ravel() <= 1e-12
-        with ThrottledOperator(
-            matrix, kappa, full_throttle=full_throttle
-        ) as op:
-            np.testing.assert_array_equal(op.dangling_mask, explicit_mask)
+        op = ThrottledOperator(matrix, kappa, full_throttle=full_throttle)
+        np.testing.assert_array_equal(op.dangling_mask, explicit_mask)
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -126,10 +122,8 @@ class TestThrottledOperatorMatchesTransform:
             matrix, ThrottleVector(kappa), full_throttle=full_throttle
         )
         expected = power_iteration(explicit, params, label="explicit")
-        with ThrottledOperator(
-            matrix, kappa, full_throttle=full_throttle
-        ) as op:
-            lazy = power_iteration(op, params, label="lazy")
+        op = ThrottledOperator(matrix, kappa, full_throttle=full_throttle)
+        lazy = power_iteration(op, params, label="lazy")
         np.testing.assert_allclose(
             lazy.scores, expected.scores, atol=1e-12, rtol=0
         )
@@ -138,30 +132,28 @@ class TestThrottledOperatorMatchesTransform:
         matrix = random_stochastic(7)
         n = matrix.shape[0]
         x = np.random.default_rng(7).random(n)
-        with ThrottledOperator(matrix, np.zeros(n)) as op:
-            np.testing.assert_allclose(op.rmatvec(x), matrix.T @ x, atol=1e-14)
+        op = ThrottledOperator(matrix, np.zeros(n))
+        np.testing.assert_allclose(op.rmatvec(x), matrix.T @ x, atol=1e-14)
 
     def test_kappa_one_dangling_mutes_rows(self):
         matrix = random_stochastic(11)
         n = matrix.shape[0]
         kappa = np.zeros(n)
         kappa[0] = 1.0
-        with ThrottledOperator(
-            matrix, kappa, full_throttle="dangling"
-        ) as op:
-            assert op.dangling_mask[0]
-            # Row 0 contributes nothing: T''^T x has no term from x[0].
-            x = np.zeros(n)
-            x[0] = 1.0
-            np.testing.assert_allclose(op.rmatvec(x), np.zeros(n), atol=1e-14)
+        op = ThrottledOperator(matrix, kappa, full_throttle="dangling")
+        assert op.dangling_mask[0]
+        # Row 0 contributes nothing: T''^T x has no term from x[0].
+        x = np.zeros(n)
+        x[0] = 1.0
+        np.testing.assert_allclose(op.rmatvec(x), np.zeros(n), atol=1e-14)
 
     def test_dangling_rows_with_zero_kappa_pass_through(self):
         matrix = random_stochastic(13, n_dangling=2)
         n = matrix.shape[0]
         x = np.random.default_rng(13).random(n)
-        with ThrottledOperator(matrix, np.zeros(n)) as op:
-            np.testing.assert_allclose(op.rmatvec(x), matrix.T @ x, atol=1e-14)
-            assert op.dangling_mask.sum() == 2
+        op = ThrottledOperator(matrix, np.zeros(n))
+        np.testing.assert_allclose(op.rmatvec(x), matrix.T @ x, atol=1e-14)
+        assert op.dangling_mask.sum() == 2
 
     def test_throttling_a_dangling_row_raises(self):
         matrix = random_stochastic(17, n_dangling=1)
@@ -202,20 +194,20 @@ class TestReversedOperatorMatchesInverse:
             matrix, drop_self_edges=drop_self_edges
         )
         x = np.random.default_rng(seed + 3).random(n)
-        with ReversedOperator(matrix, drop_self_edges=drop_self_edges) as op:
-            np.testing.assert_allclose(
-                op.rmatvec(x), explicit.T @ x, atol=1e-13, rtol=1e-13
-            )
+        op = ReversedOperator(matrix, drop_self_edges=drop_self_edges)
+        np.testing.assert_allclose(
+            op.rmatvec(x), explicit.T @ x, atol=1e-13, rtol=1e-13
+        )
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     def test_materialize_matches_inverse(self, seed):
         matrix = random_stochastic(seed)
         explicit = inverse_transition_matrix(matrix)
-        with ReversedOperator(matrix) as op:
-            np.testing.assert_allclose(
-                op.materialize().toarray(), explicit.toarray(), atol=1e-14
-            )
+        op = ReversedOperator(matrix)
+        np.testing.assert_allclose(
+            op.materialize().toarray(), explicit.toarray(), atol=1e-14
+        )
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(min_value=0, max_value=2**31 - 1))
@@ -223,48 +215,51 @@ class TestReversedOperatorMatchesInverse:
         matrix = random_stochastic(seed)
         explicit = inverse_transition_matrix(matrix)
         explicit_mask = np.asarray(explicit.sum(axis=1)).ravel() <= 1e-12
-        with ReversedOperator(matrix) as op:
-            np.testing.assert_array_equal(op.dangling_mask, explicit_mask)
+        op = ReversedOperator(matrix)
+        np.testing.assert_array_equal(op.dangling_mask, explicit_mask)
 
     def test_rejects_dense(self):
         with pytest.raises(GraphError):
             ReversedOperator(np.eye(3))
 
 
-class TestCsrOperator:
-    def test_chunked_double_buffer_survives_one_call(self):
-        matrix = random_stochastic(23)
-        n = matrix.shape[0]
-        gen = np.random.default_rng(23)
-        x1, x2 = gen.random(n), gen.random(n)
-        op = CsrOperator(matrix, kernel="chunked")
+class TestRmatvecContract:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            pytest.param(lambda m, d: CsrOperator(m), id="csr"),
+            pytest.param(
+                lambda m, d: ThrottledOperator(m, np.zeros(m.shape[0])),
+                id="throttled-identity",
+            ),
+            pytest.param(
+                lambda m, d: ThrottledOperator(m, random_kappa(37, m.shape[0])),
+                id="throttled",
+            ),
+            pytest.param(lambda m, d: ReversedOperator(m), id="reversed"),
+            pytest.param(
+                lambda m, d: BlockedOperator(
+                    ShardedGraphStore.from_matrix(m, d, block_size=4)
+                ),
+                id="blocked",
+            ),
+        ],
+    )
+    def test_result_is_exact_and_survives_next_call(self, build, tmp_path):
+        """Every rmatvec returns a fresh vector: the next call leaves it be."""
+        matrix = random_stochastic(37)
+        op = build(matrix, tmp_path)
+        gen = np.random.default_rng(37)
+        x1, x2 = gen.random(op.n), gen.random(op.n)
         y1 = op.rmatvec(x1)
-        expected1 = matrix.T @ x1
+        np.testing.assert_allclose(y1, op.materialize().T @ x1, atol=1e-14)
+        kept = y1.copy()
         y2 = op.rmatvec(x2)
-        # y1 was written to the other buffer: still intact after one call.
-        np.testing.assert_allclose(y1, expected1, atol=1e-14)
-        np.testing.assert_allclose(y2, matrix.T @ x2, atol=1e-14)
-        assert y1 is not y2
+        np.testing.assert_allclose(y2, op.materialize().T @ x2, atol=1e-14)
+        np.testing.assert_array_equal(y1, kept)
 
-    def test_chunked_no_per_call_allocation(self):
-        matrix = random_stochastic(23)
-        n = matrix.shape[0]
-        op = CsrOperator(matrix, kernel="chunked")
-        x = np.random.default_rng(0).random(n)
-        outs = {id(op.rmatvec(x)) for _ in range(6)}
-        assert len(outs) == 2  # exactly the two preallocated buffers
 
-    def test_kernels_agree(self):
-        matrix = random_stochastic(29)
-        x = np.random.default_rng(29).random(matrix.shape[0])
-        a = CsrOperator(matrix, kernel="scipy")
-        b = CsrOperator(matrix, kernel="chunked")
-        np.testing.assert_allclose(a.rmatvec(x), b.rmatvec(x), atol=1e-13)
-
-    def test_rejects_bad_kernel(self):
-        with pytest.raises(ConfigError):
-            CsrOperator(random_stochastic(1), kernel="gpu")
-
+class TestCsrOperator:
     def test_rejects_dense_and_non_square(self):
         with pytest.raises(GraphError):
             CsrOperator(np.eye(3))

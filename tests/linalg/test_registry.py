@@ -84,10 +84,6 @@ class TestParamsValidation:
         with pytest.raises(ConfigError, match="unknown solver"):
             RankingParams(solver="magic")
 
-    def test_params_reject_unknown_kernel(self):
-        with pytest.raises(ConfigError, match="kernel"):
-            RankingParams(kernel="gpu")
-
     def test_params_accept_builtins(self):
         for name in BUILTIN_SOLVERS:
             assert RankingParams(solver=name).solver == name

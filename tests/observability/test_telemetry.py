@@ -184,6 +184,14 @@ class TestExport:
         prom_path = write_metrics(tmp_path / "m.prom")
         assert "repro_demo_total 1\n" in prom_path.read_text()
 
+    @pytest.mark.parametrize("name", ["m.json", "m.prom"])
+    def test_write_metrics_creates_missing_parent(
+        self, tmp_path, fresh_registry, name
+    ) -> None:
+        get_registry().counter("repro_demo_total", "demo").inc()
+        path = write_metrics(tmp_path / "new" / "sub" / name)
+        assert "repro_demo_total" in path.read_text()
+
     def test_tracer_export_shape(self) -> None:
         tracer = Tracer()
         with tracer.span("a"):

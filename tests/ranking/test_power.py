@@ -117,21 +117,6 @@ class TestPowerIteration:
             )
 
 
-class TestKernelAgreement:
-    def test_chunked_matches_scipy(self, small_graph):
-        params = RankingParams()
-        m = transition_matrix(small_graph)
-        a = power_iteration(m, params, kernel="scipy")
-        b = power_iteration(m, params, kernel="chunked")
-        np.testing.assert_allclose(a.scores, b.scores, atol=1e-10)
-
-    def test_unknown_kernel_rejected(self, triangle_graph):
-        with pytest.raises(ConfigError):
-            power_iteration(
-                transition_matrix(triangle_graph), RankingParams(), kernel="gpu"
-            )
-
-
 class TestDanglingStrategies:
     def test_self_strategy_keeps_mass(self):
         g = PageGraph.from_edges([0], [1], 2)  # node 1 dangling

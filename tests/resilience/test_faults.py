@@ -14,9 +14,7 @@ from repro.resilience import FaultyOperator, SimulatedCrash, crash_at_iteration
 @pytest.fixture()
 def operator():
     matrix = sp.random(50, 50, density=0.1, random_state=7, format="csr")
-    op = CsrOperator(matrix)
-    yield op
-    op.close()
+    return CsrOperator(matrix)
 
 
 class TestFaultyOperator:
