@@ -41,7 +41,7 @@ class RankingResult:
     describing every solver tried before this result was produced.
     """
 
-    __slots__ = ("_scores", "convergence", "label", "provenance")
+    __slots__ = ("_scores", "_percentiles", "convergence", "label", "provenance")
 
     def __init__(
         self,
@@ -57,6 +57,7 @@ class RankingResult:
         scores = scores / total
         scores.setflags(write=False)
         self._scores = scores
+        self._percentiles: np.ndarray | None = None
         self.convergence = convergence
         self.label = label
         self.provenance = provenance
@@ -106,11 +107,14 @@ class RankingResult:
         return ranks
 
     def percentiles(self) -> np.ndarray:
-        """Percentile per item, 100 = best, averaged over ties.
+        """Read-only percentile per item, 100 = best, averaged over ties.
 
         Matches the paper's "ranking percentile" metric: an item in the
-        19th percentile is worse than 81 % of items.
+        19th percentile is worse than 81 % of items.  Built on the first
+        call and cached, since the scores never change.
         """
+        if self._percentiles is not None:
+            return self._percentiles
         scores = self._scores
         n = self.n
         # Fraction of items strictly worse plus half the ties.
@@ -119,7 +123,10 @@ class RankingResult:
         hi = np.searchsorted(sorted_scores, scores, side="right")
         worse = lo.astype(np.float64)
         ties = (hi - lo - 1).astype(np.float64)
-        return 100.0 * (worse + 0.5 * ties) / max(n - 1, 1)
+        table = 100.0 * (worse + 0.5 * ties) / max(n - 1, 1)
+        table.setflags(write=False)
+        self._percentiles = table
+        return table
 
     def top(self, k: int) -> np.ndarray:
         """Ids of the ``k`` highest-scored items, best first."""

@@ -112,7 +112,6 @@ class SnapshotFollower:
         self._clock = clock
         self._lock = threading.Lock()
         self._current: RankingSnapshot | None = None
-        self._percentiles: np.ndarray | None = None
         self._adoptions = 0
         self._rejected_stale = 0
         registry = get_registry()
@@ -161,7 +160,6 @@ class SnapshotFollower:
                     self._rejects_total.labels(reason="stale").inc()
                 return False
             self._current = snapshot
-            self._percentiles = None
             self._adoptions += 1
             self._adoptions_total.inc()
         _logger.info(
@@ -179,19 +177,23 @@ class SnapshotFollower:
             return False
         return self.adopt(latest)
 
-    def percentiles(self) -> np.ndarray:
-        """Cached percentile vector of the current snapshot."""
+    def percentiles(self, snapshot: RankingSnapshot | None = None) -> np.ndarray:
+        """Cached percentile vector of ``snapshot`` (default: the current one).
+
+        A read passes the snapshot it already labelled its response with,
+        so an adoption landing mid-read cannot hand it another version's
+        table.  Tables are built under the lock, one at a time.
+        """
         with self._lock:
-            snapshot = self._current
+            if snapshot is None:
+                snapshot = self._current
             if snapshot is None:
                 raise ServingError(
                     "no snapshot adopted yet; the publisher has not "
                     "published (or the replica has not polled) a healthy "
                     "snapshot"
                 )
-            if self._percentiles is None:
-                self._percentiles = snapshot.result().percentiles()
-            return self._percentiles
+            return snapshot.result().percentiles()
 
     def snapshot_for_read(self) -> RankingSnapshot:
         """The current snapshot, or a :class:`ServingError` when empty."""
@@ -371,7 +373,7 @@ class ReplicaService:
         if what == "score":
             values = snapshot.result().scores[ids]
         else:
-            values = self.follower.percentiles()[ids]
+            values = self.follower.percentiles(snapshot)[ids]
         with self._counters_lock:
             self._reads_ok += int(ids.size)
         return {

@@ -1,4 +1,4 @@
-"""Vectorized quotient-graph kernels (page graph → source graph).
+"""Quotient-graph kernels (page graph → source graph) by sparse algebra.
 
 Two aggregation semantics are needed by the paper:
 
@@ -9,7 +9,10 @@ Two aggregation semantics are needed by the paper:
   link to *any* page of the target source (a page linking to five pages of
   the same target source counts once).
 
-Both run in O(edges log edges) with no Python-level loops.
+Both are one sparse product ``S·B`` of the source × page indicator ``S``
+and the page × target-source incidence ``B``, built on the page graph's
+own ``indptr``: no global sort and no Python-level loop.  Leaving out
+intra-source links removes exactly the diagonal of the product.
 """
 
 from __future__ import annotations
@@ -24,12 +27,44 @@ from .assignment import SourceAssignment
 __all__ = ["quotient_edge_counts", "quotient_unique_page_counts"]
 
 
-def _check(graph: PageGraph, assignment: SourceAssignment) -> None:
+def _quotient(
+    graph: PageGraph,
+    assignment: SourceAssignment,
+    include_intra: bool,
+    *,
+    distinct_pages: bool,
+) -> sp.csr_matrix:
+    """``S·B``, or ``S·bin(B)`` for distinct pages, as canonical int64 CSR."""
     if assignment.n_pages != graph.n_nodes:
         raise SourceAssignmentError(
             f"assignment covers {assignment.n_pages} pages but graph has "
             f"{graph.n_nodes} nodes"
         )
+    n_pages, n_sources = graph.n_nodes, assignment.n_sources
+    page_to_source = assignment.page_to_source
+    # B[p, t] = links from page p into source t.  Merging a row's repeated
+    # targets rewrites indptr in place, hence the copy.
+    incidence = sp.csr_matrix(
+        (
+            np.ones(graph.n_edges, dtype=np.int64),
+            page_to_source[graph.indices],
+            graph.indptr.copy(),
+        ),
+        shape=(n_pages, n_sources),
+    )
+    if distinct_pages:  # the product sums repeats itself otherwise
+        incidence.sum_duplicates()
+        incidence.data[:] = 1
+    indicator = sp.csr_matrix(  # S[i, p] = 1 iff page p is in source i
+        (np.ones(n_pages, dtype=np.int64), (page_to_source, np.arange(n_pages))),
+        shape=(n_sources, n_pages),
+    )
+    counts = indicator @ incidence
+    if not include_intra:
+        diagonal = sp.diags(counts.diagonal(), dtype=np.int64, format="csr")
+        counts = counts - diagonal
+    counts.sort_indices()
+    return counts
 
 
 def quotient_edge_counts(
@@ -47,22 +82,7 @@ def quotient_edge_counts(
     -------
     scipy.sparse.csr_matrix of int64, shape ``(n_sources, n_sources)``.
     """
-    _check(graph, assignment)
-    n_s = assignment.n_sources
-    if graph.n_edges == 0 or n_s == 0:
-        return sp.csr_matrix((n_s, n_s), dtype=np.int64)
-    src, dst = graph.edge_arrays()
-    a = assignment.page_to_source
-    s_src = a[src]
-    s_dst = a[dst]
-    if not include_intra:
-        mask = s_src != s_dst
-        s_src, s_dst = s_src[mask], s_dst[mask]
-    mat = sp.coo_matrix(
-        (np.ones(s_src.size, dtype=np.int64), (s_src, s_dst)), shape=(n_s, n_s)
-    ).tocsr()
-    mat.sum_duplicates()
-    return mat
+    return _quotient(graph, assignment, include_intra, distinct_pages=False)
 
 
 def quotient_unique_page_counts(
@@ -81,30 +101,8 @@ def quotient_unique_page_counts(
         w(s_i, s_j) = \\sum_{p \\in s_i}
             \\bigvee_{q \\in s_j} I[(p, q) \\in L_P]
 
-    Implementation: map each page edge to the pair ``(page, target_source)``,
-    de-duplicate the pairs, then count pairs per ``(source(page), target
-    source)``.  All steps are vectorized sorts/uniques.
+    Implementation: merging each row of ``B`` leaves one entry per
+    distinct ``(page, target source)`` pair; binarized, its rows summed
+    per origin source (``S·bin(B)``) count each linking page once.
     """
-    _check(graph, assignment)
-    n_s = assignment.n_sources
-    if graph.n_edges == 0 or n_s == 0:
-        return sp.csr_matrix((n_s, n_s), dtype=np.int64)
-    src, dst = graph.edge_arrays()
-    a = assignment.page_to_source
-    s_dst = a[dst]
-    if not include_intra:
-        mask = a[src] != s_dst
-        src, s_dst = src[mask], s_dst[mask]
-        if src.size == 0:
-            return sp.csr_matrix((n_s, n_s), dtype=np.int64)
-    # De-duplicate (page, target_source) pairs with a single fused key.
-    key = src * np.int64(n_s) + s_dst
-    unique_keys = np.unique(key)
-    u_page = unique_keys // n_s
-    u_sdst = unique_keys % n_s
-    s_src = a[u_page]
-    mat = sp.coo_matrix(
-        (np.ones(u_page.size, dtype=np.int64), (s_src, u_sdst)), shape=(n_s, n_s)
-    ).tocsr()
-    mat.sum_duplicates()
-    return mat
+    return _quotient(graph, assignment, include_intra, distinct_pages=True)

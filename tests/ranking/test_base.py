@@ -57,6 +57,12 @@ class TestRankingResult:
         r = RankingResult(np.array([0.5, 0.5]), _INFO)
         np.testing.assert_allclose(r.percentiles(), [50.0, 50.0])
 
+    def test_percentiles_cached_read_only(self):
+        r = RankingResult(np.array([0.1, 0.5, 0.4]), _INFO)
+        table = r.percentiles()
+        assert r.percentiles() is table
+        assert not table.flags.writeable
+
     def test_top(self):
         r = RankingResult(np.array([0.1, 0.5, 0.4]), _INFO)
         np.testing.assert_array_equal(r.top(2), [1, 2])

@@ -274,6 +274,30 @@ class TestReplicaServiceInProcess:
         expected = replica.follower.current.result().percentile_of(15)
         assert response["values"][0] == pytest.approx(expected)
 
+    def test_percentile_read_names_one_version(
+        self, replica, tmp_path, monkeypatch
+    ):
+        """An adoption landing mid-read (the poll thread's interleaving,
+        made deterministic) must not pair v1's label with v2's table."""
+        follower = replica.follower
+        reversed_sigma = np.arange(16, 0, -1, dtype=np.float64)
+        SnapshotStore(tmp_path).publish(
+            kind="sr", sigma=reversed_sigma, kappa=np.zeros(16)
+        )
+        read = follower.snapshot_for_read
+
+        def read_then_adopt():
+            snapshot = read()
+            assert follower.poll_once()
+            return snapshot
+
+        monkeypatch.setattr(follower, "snapshot_for_read", read_then_adopt)
+        response = replica.handle({"op": "percentile", "ids": [0, 15]})
+        assert follower.current.version == 2
+        assert response["ok"] and response["version"] == 1
+        # v1's σ ascends with the id, so id 15 is best; v2 reverses it.
+        assert response["values"] == [0.0, 100.0]
+
     def test_top_k(self, replica):
         response = replica.handle({"op": "top_k", "k": 3})
         assert response["ok"]

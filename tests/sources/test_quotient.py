@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.sparse as sp
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SourceAssignmentError
@@ -113,3 +116,85 @@ class TestUniquePageCounts:
         m = quotient_unique_page_counts(g, a)
         adj = g.to_scipy()
         assert (m != adj).nnz == 0
+
+
+def _reference_counts(edges, labels, include_intra):
+    """Pure-Python quotient: (edge multiplicities, unique-page counts).
+
+    Both map ``(origin source, target source)`` to a positive count.
+    """
+    multiplicity: Counter = Counter()
+    linking = set()  # distinct (page, target source) pairs
+    for page, target in set(edges):  # the page graph de-duplicates links
+        pair = (labels[page], labels[target])
+        if include_intra or pair[0] != pair[1]:
+            multiplicity[pair] += 1
+            linking.add((page, pair[1]))
+    unique = Counter((labels[page], source) for page, source in linking)
+    return dict(multiplicity), dict(unique)
+
+
+def _entries(matrix, n_sources):
+    """Stored entries of a canonical int64 CSR quotient, as a dict."""
+    assert isinstance(matrix, sp.csr_matrix)
+    assert matrix.shape == (n_sources, n_sources)
+    assert matrix.dtype == np.int64
+    assert matrix.has_canonical_format
+    coo = matrix.tocoo()
+    return {
+        (int(i), int(j)): int(v) for i, j, v in zip(coo.row, coo.col, coo.data)
+    }
+
+
+@st.composite
+def page_webs(draw):
+    """``(n_pages, edges, labels)`` with sources scattered over page ids."""
+    n_pages = draw(st.integers(min_value=1, max_value=12))
+    n_sources = draw(st.integers(min_value=1, max_value=n_pages))
+    extra = n_pages - n_sources
+    labels = list(range(n_sources)) + draw(
+        st.lists(
+            st.integers(min_value=0, max_value=n_sources - 1),
+            min_size=extra,
+            max_size=extra,
+        )
+    )
+    labels = draw(st.permutations(labels))
+    page = st.integers(min_value=0, max_value=n_pages - 1)
+    edges = draw(st.lists(st.tuples(page, page), max_size=40))
+    return n_pages, edges, labels
+
+
+#: Page 0 (source 1) links four pages of source 0 and two of source 2.
+_FAN_OUT = (
+    7,
+    [(0, 1), (0, 3), (0, 4), (0, 6), (0, 2), (0, 5), (3, 0)],
+    [1, 0, 2, 0, 0, 2, 0],
+)
+#: Five of six pages have empty rows; pages 0, 2, 3 and 5 are isolated.
+_SPARSE = (6, [(4, 1)], [2, 0, 1, 0, 2, 1])
+#: A single source: every link is intra-source.
+_ONE_SOURCE = (4, [(0, 1), (0, 2), (3, 3), (1, 0)], [0, 0, 0, 0])
+
+
+class TestAgainstBruteForce:
+    """Both kernels equal a pure-Python count, entry for entry."""
+
+    @given(web=page_webs(), include_intra=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    @example(web=_FAN_OUT, include_intra=True)
+    @example(web=_FAN_OUT, include_intra=False)
+    @example(web=_SPARSE, include_intra=True)
+    @example(web=_ONE_SOURCE, include_intra=True)
+    @example(web=_ONE_SOURCE, include_intra=False)
+    @example(web=(0, [], []), include_intra=True)
+    def test_matches_reference(self, web, include_intra):
+        n_pages, edges, labels = web
+        g, a = _web(edges, n_pages, labels)
+        multiplicity, unique = _reference_counts(edges, labels, include_intra)
+        counts = quotient_edge_counts(g, a, include_intra=include_intra)
+        consensus = quotient_unique_page_counts(
+            g, a, include_intra=include_intra
+        )
+        assert _entries(counts, a.n_sources) == multiplicity
+        assert _entries(consensus, a.n_sources) == unique
