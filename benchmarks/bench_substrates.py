@@ -1,8 +1,8 @@
 """Micro-benchmarks of the substrate layers.
 
 Not a paper artifact — these keep the hot paths honest over time:
-graph construction, compressed-graph encode/decode, the consensus
-quotient, the throttle transform, and one full PageRank solve.
+graph construction, shard-store encode/decode, the consensus quotient,
+the throttle transform, and one full PageRank solve.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from repro.graph import PageGraph, transition_matrix
 from repro.ranking import pagerank
 from repro.sources import SourceGraph, quotient_unique_page_counts
 from repro.throttle import ThrottleVector, throttle_transform
-from repro.webgraph import CompressedGraph
+from repro.webgraph import ShardedGraphStore
 
 
 @pytest.fixture(scope="module")
@@ -29,15 +29,19 @@ def test_bench_graph_from_edges(benchmark, dataset):
     benchmark(PageGraph.from_edges, src, dst, dataset.graph.n_nodes)
 
 
-def test_bench_compress(benchmark, dataset):
-    compressed = benchmark(CompressedGraph.from_pagegraph, dataset.graph)
-    assert compressed.stats().ratio < 0.6
+def test_bench_compress(benchmark, dataset, tmp_path):
+    graph = dataset.graph
+    store = benchmark(ShardedGraphStore.from_pagegraph, graph, tmp_path / "store")
+    csr_bytes = 8 * (graph.n_nodes + 1) + 8 * graph.n_edges
+    count_bytes = 8 * graph.n_nodes  # one int64 edge count per row
+    assert (store.payload_bytes + count_bytes) / csr_bytes < 0.6
 
 
-def test_bench_decompress(benchmark, dataset):
-    compressed = CompressedGraph.from_pagegraph(dataset.graph)
-    graph = benchmark(compressed.to_pagegraph)
-    assert graph == dataset.graph
+def test_bench_decompress(benchmark, dataset, tmp_path):
+    store = ShardedGraphStore.from_pagegraph(dataset.graph, tmp_path / "store")
+    matrix = benchmark(store.materialize)
+    np.testing.assert_array_equal(matrix.indptr, dataset.graph.indptr)
+    np.testing.assert_array_equal(matrix.indices, dataset.graph.indices)
 
 
 def test_bench_consensus_quotient(benchmark, dataset):

@@ -116,7 +116,6 @@ from .spam import (
     evaluate_attack,
 )
 from .throttle import ThrottleVector, assign_kappa, spam_proximity, throttle_transform
-from .webgraph import CompressedGraph
 
 __version__ = "1.0.0"
 
@@ -159,7 +158,6 @@ __all__ = [
     # graph substrate
     "PageGraph",
     "GraphBuilder",
-    "CompressedGraph",
     # source view
     "SourceAssignment",
     "SourceGraph",

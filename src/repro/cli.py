@@ -278,18 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="port for --endpoint (0 = pick a free port)",
     )
 
-    p_comp = sub.add_parser(
-        "compress", help="compress an edge list (WebGraph-style codecs)"
-    )
-    p_comp.add_argument("edges", type=Path, help="integer edge list file")
-    p_comp.add_argument("out", type=Path, help="output .npz container")
-    p_comp.add_argument(
-        "--codec",
-        choices=("gaps", "intervals"),
-        default="gaps",
-        help="gap coding (default, saveable) or interval coding (report only)",
-    )
-
     p_shard = sub.add_parser(
         "shard", help="create/inspect sharded on-disk graph stores"
     )
@@ -385,6 +373,16 @@ def build_parser() -> argparse.ArgumentParser:
 # Subcommand implementations
 # ----------------------------------------------------------------------
 
+def _read_blocklist(path: Path) -> list[str]:
+    """The entries of a ``--blocklist`` file, one per line.
+
+    Each line is stripped first, so blank lines and ``#`` comments are
+    skipped however they are indented.
+    """
+    lines = (line.strip() for line in path.read_text().splitlines())
+    return [line for line in lines if line and not line.startswith("#")]
+
+
 def _rank_store(args: argparse.Namespace) -> int:
     """The ``rank --graph-store`` path: out-of-core, explicit κ only."""
     from .config import GraphStoreParams, RankingParams
@@ -400,13 +398,11 @@ def _rank_store(args: argparse.Namespace) -> int:
     )
     kappa = None
     if args.blocklist:
-        lines = [
-            line.strip()
-            for line in args.blocklist.read_text().splitlines()
-            if line.strip() and not line.startswith("#")
-        ]
         try:
-            ids = np.asarray([int(line) for line in lines], dtype=np.int64)
+            ids = np.asarray(
+                [int(entry) for entry in _read_blocklist(args.blocklist)],
+                dtype=np.int64,
+            )
         except ValueError:
             raise ConfigError(
                 "--graph-store stores are anonymous: --blocklist must hold "
@@ -478,11 +474,7 @@ def _cmd_rank(args: argparse.Namespace) -> int:
         name_of = assignment.name_of
         seeds = []
         if args.blocklist:
-            wanted = {
-                line.strip()
-                for line in args.blocklist.read_text().splitlines()
-                if line.strip() and not line.startswith("#")
-            }
+            wanted = set(_read_blocklist(args.blocklist))
             seeds = [
                 s
                 for s in range(assignment.n_sources)
@@ -963,33 +955,6 @@ def _serve_fleet(args: argparse.Namespace, service, ds, kappa, rng) -> int:
     return 0
 
 
-def _cmd_compress(args: argparse.Namespace) -> int:
-    from .graph.io import read_edge_list
-    from .webgraph import CompressedGraph, IntervalCompressedGraph, compare_codecs
-
-    graph = read_edge_list(args.edges)
-    comparison = compare_codecs(graph)
-    print(
-        f"{graph.n_nodes:,} nodes / {graph.n_edges:,} edges — "
-        f"gap codec {comparison.gap_bits_per_edge:.2f} bits/edge, "
-        f"interval codec {comparison.interval_bits_per_edge:.2f} bits/edge"
-    )
-    if args.codec == "intervals":
-        compressed = IntervalCompressedGraph.from_pagegraph(graph)
-        print(
-            "note: the interval container has no save format yet; writing "
-            "the gap container with the measured comparison above"
-        )
-    compressed = CompressedGraph.from_pagegraph(graph)
-    compressed.save(args.out)
-    stats = compressed.stats()
-    print(
-        f"wrote {args.out} ({stats.total_bytes:,} bytes, "
-        f"{100 * stats.ratio:.1f} % of CSR int64)"
-    )
-    return 0
-
-
 def _cmd_shard(args: argparse.Namespace) -> int:
     from .webgraph.store import ShardedGraphStore
 
@@ -1119,7 +1084,6 @@ _COMMANDS = {
     "stats": _cmd_stats,
     "serve": _cmd_serve,
     "shard": _cmd_shard,
-    "compress": _cmd_compress,
     "ledger": _cmd_ledger,
 }
 

@@ -636,30 +636,26 @@ class GraphStoreParams:
     """Policy of the sharded on-disk graph substrate.
 
     Accepted by :func:`repro.core.pipeline.operator_from_store` (and the
-    ``repro rank --graph-store`` / ``repro shard`` CLI paths) to control
-    how a :class:`~repro.webgraph.store.ShardedGraphStore` is written and
-    turned into a :class:`~repro.linalg.BlockedOperator`.
+    ``repro rank --graph-store`` CLI path) to control how a
+    :class:`~repro.webgraph.store.ShardedGraphStore` is turned into a
+    :class:`~repro.linalg.BlockedOperator`.  Store writers take their
+    ``block_size`` directly.
 
     Parameters
     ----------
-    block_size:
-        Rows per shard when *writing* a store (conversion/generation
-        paths); reading uses whatever the manifest declares.
     cache_blocks:
         Bound on decoded blocks held in memory by the blocked operator.
         The out-of-core memory guarantee is O(cache_blocks · block +
         iterate).
     """
 
-    block_size: int = 65_536
     cache_blocks: int = 4
 
     def __post_init__(self) -> None:
-        for name in ("block_size", "cache_blocks"):
-            value = int(getattr(self, name))
-            if value < 1:
-                raise ConfigError(f"{name} must be >= 1, got {value!r}")
-            object.__setattr__(self, name, value)
+        value = int(self.cache_blocks)
+        if value < 1:
+            raise ConfigError(f"cache_blocks must be >= 1, got {value!r}")
+        object.__setattr__(self, "cache_blocks", value)
 
     def with_(self, **overrides: object) -> "GraphStoreParams":
         """Return a copy with the given fields replaced."""

@@ -22,6 +22,7 @@ import numpy as np
 from ..errors import CodecError, GraphError
 from .builder import GraphBuilder
 from .pagegraph import PageGraph
+from .streaming import stream_edge_chunks
 
 __all__ = [
     "read_edge_list",
@@ -56,35 +57,17 @@ def read_edge_list(
         Field separator; ``None`` (default) splits on any whitespace.
     n_nodes:
         Optional explicit node count (for trailing isolated nodes).
+
+    Lines are parsed by :func:`~repro.graph.streaming.stream_edge_chunks`:
+    ``#`` comments and blank lines are skipped, and a malformed line or a
+    negative node id raises :class:`~repro.errors.GraphError` naming its
+    line number.
     """
-    handle, owned = _open_text(path_or_file, "r")
-    try:
-        src_list: list[int] = []
-        dst_list: list[int] = []
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(sep)
-            if len(parts) < 2:
-                raise GraphError(f"line {lineno}: expected 'src dst', got {line!r}")
-            try:
-                src, dst = int(parts[0]), int(parts[1])
-            except ValueError as exc:
-                raise GraphError(f"line {lineno}: non-integer node id in {line!r}") from exc
-            if src < 0 or dst < 0:
-                raise GraphError(
-                    f"line {lineno}: negative node id in {line!r} "
-                    "(node ids must be >= 0)"
-                )
-            src_list.append(src)
-            dst_list.append(dst)
-    finally:
-        if owned:
-            handle.close()
+    chunks = list(stream_edge_chunks(path_or_file, sep=sep))
+    empty = np.empty(0, dtype=np.int64)
     return PageGraph.from_edges(
-        np.asarray(src_list, dtype=np.int64),
-        np.asarray(dst_list, dtype=np.int64),
+        np.concatenate([empty, *(src for src, _ in chunks)]),
+        np.concatenate([empty, *(dst for _, dst in chunks)]),
         n_nodes,
     )
 

@@ -1,8 +1,9 @@
 """Two-pass, bounded-memory construction of large graphs from edge files.
 
-:func:`read_edge_list` loads the whole file into Python lists — fine at
-laptop scale, wasteful for crawl-sized inputs.  :class:`StreamingBuilder`
-processes the file in fixed-size chunks twice:
+:func:`~repro.graph.io.read_edge_list` joins every chunk of the file into
+one in-memory edge array — fine at laptop scale, wasteful for crawl-sized
+inputs.  :class:`StreamingBuilder` processes the file in fixed-size chunks
+twice:
 
 * **pass 1** counts out-degrees (one int64 array of length ``n`` is the
   only full-size allocation);
@@ -52,7 +53,8 @@ def stream_edge_chunks(
 
     Comments (``#``) and blank lines are skipped; malformed lines and
     negative node ids raise :class:`~repro.errors.GraphError` with their
-    line number (matching :func:`~repro.graph.io.read_edge_list`).
+    line number.  This is the one edge-list line parser:
+    :func:`~repro.graph.io.read_edge_list` reads through it too.
     """
     if chunk_edges < 1:
         raise GraphError(f"chunk_edges must be >= 1, got {chunk_edges}")
@@ -74,10 +76,10 @@ def stream_edge_chunks(
                     f"line {lineno}: non-integer node id in {line!r}"
                 ) from exc
             if s < 0 or d < 0:
-                # Parity with read_edge_list: name the offending line here
-                # rather than failing later in StreamingBuilder.count with
-                # no file context (count keeps its check as a backstop for
-                # callers feeding arrays directly).
+                # Name the offending line here rather than failing later in
+                # StreamingBuilder.count with no file context (count keeps
+                # its check as a backstop for callers feeding arrays
+                # directly).
                 raise GraphError(
                     f"line {lineno}: negative node id in {line!r}"
                 )

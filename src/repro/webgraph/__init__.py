@@ -4,16 +4,14 @@ The paper manages its 118 M-page graphs with the Java WebGraph compression
 framework [10].  This package reproduces the central ideas in pure Python +
 NumPy: successor lists are delta-gap transformed (:mod:`repro.webgraph.gaps`)
 and entropy-coded with LEB128 varints (:mod:`repro.webgraph.varint`);
-:class:`~repro.webgraph.compressed.CompressedGraph` wraps the encoded byte
-stream with sequential and random access plus round-trip conversion to
-:class:`~repro.graph.pagegraph.PageGraph`.
+:class:`~repro.webgraph.store.ShardedGraphStore` keeps the encoded rows on
+disk as digest-verified row-block shards, the form the out-of-core solve
+streams, with an exact round trip from
+:class:`~repro.graph.pagegraph.PageGraph` or a sparse matrix.
 """
 
 from .varint import encode_varints, decode_varints, varint_length
 from .gaps import to_gaps, from_gaps
-from .intervals import split_intervals, merge_intervals, encode_row, decode_row
-from .compressed import CompressedGraph, CompressionStats
-from .interval_graph import IntervalCompressedGraph, compare_codecs
 from .store import ShardInfo, ShardedGraphStore, ShardedStoreWriter
 
 __all__ = [
@@ -25,12 +23,4 @@ __all__ = [
     "varint_length",
     "to_gaps",
     "from_gaps",
-    "split_intervals",
-    "merge_intervals",
-    "encode_row",
-    "decode_row",
-    "CompressedGraph",
-    "CompressionStats",
-    "IntervalCompressedGraph",
-    "compare_codecs",
 ]

@@ -2,13 +2,13 @@
 
 The paper's crawls (18–118M pages, Table 1) do not fit a single in-memory
 CSR, so the source graph lives on disk as a *manifest + N row-block shards*.
-Each shard holds a contiguous slice of rows encoded with the same machinery
-as :class:`~repro.webgraph.compressed.CompressedGraph`: successor lists are
-delta-gap transformed (:mod:`repro.webgraph.gaps`, first entry relative to
-the *global* row id so locality survives sharding) and LEB128 varint coded
-(:mod:`repro.webgraph.varint`).  Every shard is decodable independently —
-``load_block(i)`` touches exactly one file — which is what lets the blocked
-operator stream the fixpoint without ever assembling the full matrix.
+Each shard holds a contiguous slice of rows in the package's one graph
+codec: successor lists are delta-gap transformed (:mod:`repro.webgraph.gaps`,
+first entry relative to the *global* row id so locality survives sharding)
+and LEB128 varint coded (:mod:`repro.webgraph.varint`).  Every shard is
+decodable independently — ``load_block(i)`` touches exactly one file —
+which is what lets the blocked operator stream the fixpoint without ever
+assembling the full matrix.
 
 Durability reuses the snapshot-store idioms: shards are published with
 ``atomic_savez`` (tmp + fsync + ``os.replace``), the manifest carries a

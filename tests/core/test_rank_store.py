@@ -45,8 +45,6 @@ class TestOperatorFromStore:
     def test_param_validation(self):
         with pytest.raises(ConfigError):
             GraphStoreParams(cache_blocks=0)
-        with pytest.raises(ConfigError):
-            GraphStoreParams(block_size=0)
         assert GraphStoreParams().with_(cache_blocks=2).cache_blocks == 2
 
 

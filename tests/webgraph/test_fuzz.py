@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import CodecError, GraphError, ReproError
+from repro.errors import CodecError, GraphError
 from repro.graph import PageGraph, load_npz, save_npz
-from repro.webgraph import CompressedGraph, decode_varints, encode_varints
+from repro.webgraph import decode_varints, encode_varints
 
 
 @pytest.fixture(scope="module")
@@ -64,37 +64,6 @@ class TestVarintCorruption:
             except CodecError:
                 continue
             pytest.fail(f"truncation at {cut} decoded with full count")
-
-
-class TestCompressedGraphCorruption:
-    def test_wrong_counts_rejected(self, graph):
-        c = CompressedGraph.from_pagegraph(graph)
-        bad_counts = c._counts.copy()
-        bad_counts = np.append(bad_counts[:-1], bad_counts[-1] + 1)
-        with pytest.raises(ReproError):
-            CompressedGraph(
-                c._payload, c._offsets, bad_counts, graph.n_nodes
-            ).to_pagegraph()
-
-    def test_payload_truncation_rejected(self, graph):
-        c = CompressedGraph.from_pagegraph(graph)
-        with pytest.raises(CodecError):
-            CompressedGraph(
-                c._payload[:-1], c._offsets, c._counts, graph.n_nodes
-            )
-
-    def test_save_corrupt_load(self, graph, tmp_path):
-        """Corrupting a saved container raises a library error (zip CRC
-        failures surface as CodecError via missing/garbled fields or as a
-        zlib/OS error — never a silent wrong graph)."""
-        path = tmp_path / "c.npz"
-        CompressedGraph.from_pagegraph(graph).save(path)
-        blob = bytearray(path.read_bytes())
-        blob[len(blob) // 2] ^= 0xFF
-        path.write_bytes(bytes(blob))
-        with pytest.raises(Exception):
-            loaded = CompressedGraph.load(path)
-            assert loaded.to_pagegraph() == graph
 
 
 class TestNpzGraphCorruption:
