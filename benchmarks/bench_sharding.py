@@ -94,7 +94,7 @@ def _reshard(store, out_dir: Path, factor: int):
         out_dir, store.n_sources, block_size=store.block_size * factor
     )
     pending = []
-    for _info, block in store.iter_blocks(verify=False):
+    for _info, block in store.iter_blocks():
         pending.append(block)
         if len(pending) == factor:
             writer.append_matrix(sp.vstack(pending, format="csr"))
@@ -304,7 +304,7 @@ def run(quick: bool, seed: int, workdir: Path) -> dict:
     # --- decode throughput (with digest verification) ---------------------
     t0 = time.perf_counter()
     decoded_edges = 0
-    for _info, block in base_store.iter_blocks(verify=True):
+    for _info, block in base_store.iter_blocks():
         decoded_edges += block.nnz
     decode_seconds = time.perf_counter() - t0
     report["decode"] = {

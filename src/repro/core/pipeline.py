@@ -421,9 +421,9 @@ class SpamResilientPipeline:
             run_key,
             stage,
             scores=result.scores,
-            iterations=np.int64(result.convergence.iterations),
-            residual=np.float64(result.convergence.residual),
-            tolerance=np.float64(result.convergence.tolerance),
+            iterations=int(result.convergence.iterations),
+            residual=float(result.convergence.residual),
+            tolerance=float(result.convergence.tolerance),
         )
 
     def compute_kappa(

@@ -291,7 +291,15 @@ class DatasetError(ReproError):
 
 
 class CodecError(ReproError):
-    """Raised by the compressed-graph codecs on malformed byte streams."""
+    """Raised on malformed bytes: the graph codec and the on-disk container.
+
+    ``reason`` names the failure for the rejects counters; the container
+    raises ``"unreadable"`` or ``"digest"``.
+    """
+
+    def __init__(self, message: str = "", *, reason: str = "unreadable") -> None:
+        super().__init__(message)
+        self.reason = reason
 
 
 class ScenarioError(ReproError):

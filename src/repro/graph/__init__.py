@@ -25,8 +25,6 @@ from .transforms import (
 from .io import (
     read_edge_list,
     write_edge_list,
-    save_npz,
-    load_npz,
     read_labeled_edges,
 )
 from .urls import normalize_url, extract_host, extract_registered_domain
@@ -54,8 +52,6 @@ __all__ = [
     "remove_self_loops",
     "read_edge_list",
     "write_edge_list",
-    "save_npz",
-    "load_npz",
     "read_labeled_edges",
     "normalize_url",
     "extract_host",

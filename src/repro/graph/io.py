@@ -1,4 +1,4 @@
-"""Graph IO: plain edge lists, labeled (URL) edge lists, and binary npz.
+"""Graph IO: plain edge lists and labeled (URL) edge lists.
 
 Formats
 -------
@@ -7,8 +7,9 @@ Formats
   datasets the paper uses.
 * **Labeled edges** — one ``src_url<sep>dst_url`` pair per line; URLs are
   interned to dense ids via :class:`~repro.graph.builder.GraphBuilder`.
-* **npz** — the CSR arrays stored via :func:`numpy.savez_compressed`; the
-  fast path for benchmark fixtures.
+
+Graphs persist in binary form as a sharded store
+(:mod:`repro.webgraph.store`).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import TextIO
 
 import numpy as np
 
-from ..errors import CodecError, GraphError
+from ..errors import GraphError
 from .builder import GraphBuilder
 from .pagegraph import PageGraph
 from .streaming import stream_edge_chunks
@@ -28,11 +29,7 @@ __all__ = [
     "read_edge_list",
     "write_edge_list",
     "read_labeled_edges",
-    "save_npz",
-    "load_npz",
 ]
-
-_NPZ_FORMAT_VERSION = 1
 
 
 def _open_text(path_or_file: str | Path | TextIO, mode: str) -> tuple[TextIO, bool]:
@@ -121,45 +118,3 @@ def read_labeled_edges(
             handle.close()
     graph = builder.build()
     return graph, {str(k): v for k, v in builder.names.items()}
-
-
-def save_npz(graph: PageGraph, path: str | Path) -> None:
-    """Serialize a graph's CSR arrays with :func:`numpy.savez_compressed`."""
-    np.savez_compressed(
-        path,
-        format_version=np.int64(_NPZ_FORMAT_VERSION),
-        n_nodes=np.int64(graph.n_nodes),
-        indptr=graph.indptr,
-        indices=graph.indices,
-    )
-
-
-def load_npz(path: str | Path) -> PageGraph:
-    """Load a graph previously saved with :func:`save_npz`.
-
-    The archive's ``format_version`` is verified before any array is
-    trusted; a tampered, truncated, or foreign ``.npz`` raises
-    :class:`~repro.errors.CodecError` rather than producing a silently
-    wrong graph.
-    """
-    with np.load(path) as data:
-        try:
-            version = int(data["format_version"])
-        except KeyError as exc:
-            raise CodecError(
-                f"{path}: missing field {exc} — not a repro graph file"
-            ) from exc
-        if version != _NPZ_FORMAT_VERSION:
-            raise CodecError(
-                f"{path}: unsupported graph format version {version} "
-                f"(expected {_NPZ_FORMAT_VERSION})"
-            )
-        try:
-            n_nodes = int(data["n_nodes"])
-            indptr = data["indptr"]
-            indices = data["indices"]
-        except KeyError as exc:
-            raise CodecError(
-                f"{path}: missing field {exc} — not a repro graph file"
-            ) from exc
-    return PageGraph(indptr, indices, n_nodes)

@@ -299,7 +299,7 @@ def _iterate_inner(
             x_next = step(x)
             residual = residual_norm(x_next - x, params.norm)
             history.append(residual)
-            x = x_next
+            x_prev, x = x, x_next
             if callback is not None:
                 callback(iterations, residual)
             if progress is not None:
@@ -318,6 +318,11 @@ def _iterate_inner(
                 break
             if guard is not None:
                 guard.check(iterations, x, residual)
+            if not np.isfinite(residual):
+                # No later iterate can recover; keep the last finite one,
+                # and never checkpoint a non-finite one.
+                x = x_prev
+                break
             if ckpt is not None and iterations % ckpt_every == 0:
                 ckpt.save(tag, x, iterations, residual)
         converged = residual < params.tolerance

@@ -14,30 +14,30 @@ Two cooperating pieces:
   CSR arrays, seeds, and parameter reprs), so a resumed run skips every
   stage whose inputs are byte-identical.
 
-Checkpoint files are ``.npz`` with a format-version field; a tampered or
-truncated checkpoint is *ignored* (with a warning), never trusted — a
-bad checkpoint must cost a recompute, not a crash or a wrong σ.
+Checkpoint files are :mod:`repro.container` files with a format-version
+field; a tampered or truncated checkpoint is *ignored* (with a warning),
+never trusted — a bad checkpoint must cost a recompute, not a crash or a
+wrong σ.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 import re
-import tempfile
 from collections.abc import Mapping, Set
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from ..container import read_container, remove, write_container
+from ..errors import CodecError
 from ..logging_utils import get_logger
 from ..observability.events import emit as emit_event
 from ..observability.metrics import get_registry
 
 __all__ = [
     "content_key",
-    "atomic_savez",
     "SolveState",
     "SolveCheckpointer",
     "PipelineCheckpointer",
@@ -45,7 +45,7 @@ __all__ = [
 
 _logger = get_logger(__name__)
 
-_CHECKPOINT_FORMAT_VERSION = 1
+_CHECKPOINT_FORMAT_VERSION = 2
 _TAG_RE = re.compile(r"[^A-Za-z0-9._-]+")
 
 
@@ -114,59 +114,18 @@ def _digest_part(digest, part: object) -> None:
     digest.update(b"\x00")
 
 
-def atomic_savez(path: Path, **arrays: object) -> None:
-    """Write an ``.npz`` so that ``path`` is either absent or complete.
-
-    The tmp + ``os.replace`` publish pattern shared by the checkpointers
-    and the serving layer's :class:`~repro.serving.SnapshotStore`: a kill
-    mid-write can never leave a torn file under the final name.  The tmp
-    file is fsynced before the rename (and the directory after it, where
-    the platform allows) so the same holds across a power loss — without
-    the fsync, ``os.replace`` could land an empty or partially flushed
-    file under the final name once the page cache is gone.  Readers
-    still digest-verify on load; the fsync just makes losing the publish
-    itself the only remaining failure mode, not serving a torn file.
-    """
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(
-        dir=path.parent, prefix=path.stem + ".", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            np.savez(handle, **arrays)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:  # pragma: no cover - tmp already consumed
-            pass
-        raise
-    try:
-        dir_fd = os.open(path.parent, os.O_RDONLY)
-    except OSError:  # pragma: no cover - platform without dir opens
-        return
-    try:
-        os.fsync(dir_fd)
-    except OSError:  # pragma: no cover - fs without dir fsync
-        pass
-    finally:
-        os.close(dir_fd)
-
-
-def _load_npz(path: Path, required: tuple[str, ...]) -> dict | None:
-    """Load a checkpoint ``.npz``; ``None`` (with a warning) if unusable."""
+def _load(path: Path, required: tuple[str, ...]) -> dict | None:
+    """The named fields and arrays of one checkpoint; ``None`` (with a
+    warning) if it is missing or unusable."""
     if not path.exists():
         return None
     try:
-        with np.load(path) as data:
-            if int(data["format_version"]) != _CHECKPOINT_FORMAT_VERSION:
-                raise ValueError(
-                    f"format version {int(data['format_version'])}"
-                )
-            return {key: data[key] for key in required}
-    except Exception as exc:  # noqa: BLE001 - any corruption ⇒ recompute
+        fields, arrays, _digest = read_container(path)
+        if fields.get("format_version") != _CHECKPOINT_FORMAT_VERSION:
+            raise CodecError(f"format version {fields.get('format_version')!r}")
+        stored = {**fields, **arrays}
+        return {name: stored[name] for name in required}
+    except (CodecError, KeyError) as exc:
         _logger.warning("ignoring unusable checkpoint %s (%s)", path, exc)
         return None
 
@@ -210,16 +169,18 @@ class SolveCheckpointer:
     def path_for(self, tag: str) -> Path:
         """Checkpoint file path for one solve tag (sanitized)."""
         safe = _TAG_RE.sub("_", tag) or "solve"
-        return self.directory / f"{safe}.ckpt.npz"
+        return self.directory / f"{safe}.ckpt"
 
     def save(self, tag: str, x: np.ndarray, iteration: int, residual: float) -> None:
         """Write one checkpoint atomically (tmp + rename)."""
-        atomic_savez(
+        write_container(
             self.path_for(tag),
-            format_version=np.int64(_CHECKPOINT_FORMAT_VERSION),
-            x=np.asarray(x, dtype=np.float64),
-            iteration=np.int64(iteration),
-            residual=np.float64(residual),
+            {
+                "format_version": _CHECKPOINT_FORMAT_VERSION,
+                "iteration": int(iteration),
+                "residual": float(residual),
+            },
+            {"x": np.asarray(x, dtype=np.float64)},
         )
         emit_event(
             "checkpoint_save", tag=tag, iteration=int(iteration),
@@ -239,7 +200,7 @@ class SolveCheckpointer:
         """The stored state for ``tag`` when resuming; else ``None``."""
         if not self.resume:
             return None
-        data = _load_npz(self.path_for(tag), ("x", "iteration", "residual"))
+        data = _load(self.path_for(tag), ("x", "iteration", "residual"))
         if data is None:
             return None
         state = SolveState(
@@ -259,16 +220,13 @@ class SolveCheckpointer:
 
     def clear(self, tag: str) -> None:
         """Delete the checkpoint for one tag, if present."""
-        try:
-            self.path_for(tag).unlink()
-        except FileNotFoundError:
-            pass
+        remove(self.path_for(tag))
 
 
 class PipelineCheckpointer:
     """Content-addressed store of completed pipeline-stage outputs.
 
-    Stage files live under ``directory / <key[:16]> / <stage>.npz`` where
+    Stage files live under ``directory / <key[:16]> / <stage>`` where
     ``key`` is the :func:`content_key` of the run's inputs — any change
     to the graph, seeds, or parameters changes the key, so stale state
     can never be replayed onto different inputs.
@@ -280,7 +238,7 @@ class PipelineCheckpointer:
 
     def _stage_path(self, key: str, stage: str) -> Path:
         safe = _TAG_RE.sub("_", stage) or "stage"
-        return self.directory / key[:16] / f"{safe}.npz"
+        return self.directory / key[:16] / safe
 
     def solve_checkpointer(
         self, key: str, *, every: int = 25
@@ -290,21 +248,24 @@ class PipelineCheckpointer:
             self.directory / key[:16] / "solves", every=every, resume=self.resume
         )
 
-    def save_stage(self, key: str, stage: str, **arrays: object) -> None:
-        """Persist one completed stage's named arrays atomically."""
-        atomic_savez(
+    def save_stage(self, key: str, stage: str, **values: object) -> None:
+        """Persist one completed stage's named arrays and scalars atomically."""
+        write_container(
             self._stage_path(key, stage),
-            format_version=np.int64(_CHECKPOINT_FORMAT_VERSION),
-            **arrays,
+            {
+                "format_version": _CHECKPOINT_FORMAT_VERSION,
+                **{k: v for k, v in values.items() if not isinstance(v, np.ndarray)},
+            },
+            {k: v for k, v in values.items() if isinstance(v, np.ndarray)},
         )
 
     def load_stage(
         self, key: str, stage: str, names: tuple[str, ...]
     ) -> dict | None:
-        """The stored arrays for one stage when resuming; else ``None``."""
+        """The stored values for one stage when resuming; else ``None``."""
         if not self.resume:
             return None
-        data = _load_npz(self._stage_path(key, stage), names)
+        data = _load(self._stage_path(key, stage), names)
         if data is not None:
             _record_resume("stage")
             emit_event("stage_resume", stage=stage, key=key[:16])

@@ -2,15 +2,14 @@
 
 A snapshot is one published ranking: the σ vector, the κ it was computed
 under, convergence provenance, and the :func:`~repro.resilience.checkpoint.content_key`
-of the inputs that produced it.  Snapshots are monotonically numbered and
-written with the same atomic tmp + ``os.replace`` publish (and ``.npz``
-format-version field) as the resilience checkpoints, plus a payload
-digest recomputed on load — a torn, truncated, or tampered snapshot is
-*skipped* (with a warning and a ``repro_snapshot_rejects_total`` count),
-never served.  :meth:`SnapshotStore.latest` therefore always lands on
-the newest snapshot that is actually healthy, which is what makes a
-:class:`~repro.serving.service.RankingService` restart safe: whatever a
-crash left behind, the store serves the last complete publish.
+of the inputs that produced it.  Snapshots are monotonically numbered
+:mod:`repro.container` files, published atomically and verified against
+their trailing digest on load — a torn, truncated, or tampered snapshot
+is *skipped* (with a warning and a ``repro_snapshot_rejects_total``
+count), never served.  :meth:`SnapshotStore.latest` therefore always
+lands on the newest snapshot that is actually healthy, which is what
+makes a :class:`~repro.serving.service.RankingService` restart safe:
+whatever a crash left behind, the store serves the last complete publish.
 """
 
 from __future__ import annotations
@@ -23,19 +22,19 @@ from typing import Callable
 
 import numpy as np
 
-from ..errors import ServingError
+from ..container import read_container, remove, write_container
+from ..errors import CodecError, ServingError
 from ..linalg.iterate import ConvergenceInfo
 from ..logging_utils import get_logger
 from ..observability.metrics import get_registry
 from ..ranking.base import RankingResult
-from ..resilience.checkpoint import atomic_savez, content_key
 
 __all__ = ["RankingSnapshot", "SnapshotStore", "SNAPSHOT_KINDS"]
 
 _logger = get_logger(__name__)
 
-_SNAPSHOT_FORMAT_VERSION = 2
-_SNAPSHOT_RE = re.compile(r"^snapshot-(\d{8})\.npz$")
+_SNAPSHOT_FORMAT_VERSION = 3
+_SNAPSHOT_RE = re.compile(r"^snapshot-(\d{8})$")
 
 #: The two snapshot kinds a service publishes: the throttled SR ranking
 #: and the unthrottled baseline it degrades to.
@@ -118,22 +117,6 @@ class RankingSnapshot:
         """Seconds between this snapshot's publish and ``now``."""
         return max(float(now) - self.published_at, 0.0)
 
-    def digest(self) -> str:
-        """Content fingerprint of the payload, verified on every load."""
-        return content_key(
-            np.int64(self.version),
-            self.kind,
-            self.sigma,
-            self.kappa,
-            self.key,
-            self.solver,
-            np.int64(int(self.convergence.converged)),
-            np.int64(self.convergence.iterations),
-            np.float64(self.convergence.residual),
-            np.float64(self.convergence.tolerance),
-            np.float64(self.published_at),
-        )
-
     def __repr__(self) -> str:
         return (
             f"RankingSnapshot(version={self.version}, kind={self.kind!r}, "
@@ -147,7 +130,7 @@ class SnapshotStore:
     Parameters
     ----------
     directory:
-        Where ``snapshot-<version>.npz`` files live (created on first
+        Where ``snapshot-<version>`` files live (created on first
         publish).
     keep:
         Retention per kind: :meth:`publish` prunes all but the newest
@@ -180,7 +163,7 @@ class SnapshotStore:
     # ------------------------------------------------------------------
     def path_for(self, version: int) -> Path:
         """Snapshot file path for one version number."""
-        return self.directory / f"snapshot-{int(version):08d}.npz"
+        return self.directory / f"snapshot-{int(version):08d}"
 
     def versions(self) -> tuple[int, ...]:
         """All version numbers present on disk, ascending (healthy or not)."""
@@ -210,8 +193,8 @@ class SnapshotStore:
 
         The version counter is the max on-disk version plus one, taken
         under the store lock, so concurrent publishers can never collide
-        or reuse a number.  The file carries a payload digest; any later
-        mutation of the bytes is detected at load time.
+        or reuse a number.  The file ends in a digest of its bytes; any
+        later mutation of them is detected at load time.
         """
         if convergence is None:
             convergence = ConvergenceInfo(
@@ -230,21 +213,21 @@ class SnapshotStore:
                 solver=solver,
                 convergence=convergence,
             )
-            atomic_savez(
+            write_container(
                 self.path_for(version),
-                format_version=np.int64(_SNAPSHOT_FORMAT_VERSION),
-                version=np.int64(version),
-                kind=snapshot.kind,
-                sigma=snapshot.sigma,
-                kappa=snapshot.kappa,
-                key=snapshot.key,
-                solver=snapshot.solver,
-                converged=np.bool_(convergence.converged),
-                iterations=np.int64(convergence.iterations),
-                residual=np.float64(convergence.residual),
-                tolerance=np.float64(convergence.tolerance),
-                published_at=np.float64(snapshot.published_at),
-                digest=snapshot.digest(),
+                {
+                    "format_version": _SNAPSHOT_FORMAT_VERSION,
+                    "version": version,
+                    "kind": snapshot.kind,
+                    "key": snapshot.key,
+                    "solver": snapshot.solver,
+                    "converged": bool(convergence.converged),
+                    "iterations": int(convergence.iterations),
+                    "residual": float(convergence.residual),
+                    "tolerance": float(convergence.tolerance),
+                    "published_at": snapshot.published_at,
+                },
+                {"sigma": snapshot.sigma, "kappa": snapshot.kappa},
             )
             self._kinds[version] = snapshot.kind
             self._prune_locked()
@@ -264,10 +247,10 @@ class SnapshotStore:
     def load(self, version: int) -> RankingSnapshot | None:
         """Load and verify one snapshot; ``None`` if missing or unhealthy.
 
-        Verification order: the archive must parse (a torn tmp+rename can
-        never produce a half-file, but an external truncation can), the
-        format version must match, and the payload digest must recompute
-        to the stored value.  Any failure is a warning plus a
+        Verification order: the container's length and digest must check
+        out (a torn tmp+rename can never produce a half-file, but an
+        external truncation or a flipped byte can), then the format
+        version must match.  Any failure is a warning plus a
         ``repro_snapshot_rejects_total`` count — never an exception, and
         never a served-but-wrong σ.
         """
@@ -275,46 +258,40 @@ class SnapshotStore:
         if not path.exists():
             return None
         try:
-            with np.load(path, allow_pickle=False) as data:
-                stored_format = int(data["format_version"])
-                if stored_format != _SNAPSHOT_FORMAT_VERSION:
-                    _record_reject("format_version")
-                    _logger.warning(
-                        "rejecting snapshot %s: format version %d != %d",
-                        path,
-                        stored_format,
-                        _SNAPSHOT_FORMAT_VERSION,
-                    )
-                    return None
-                snapshot = RankingSnapshot(
-                    version=int(data["version"]),
-                    kind=str(data["kind"]),
-                    sigma=np.asarray(data["sigma"], dtype=np.float64),
-                    kappa=np.asarray(data["kappa"], dtype=np.float64),
-                    key=str(data["key"]),
-                    published_at=float(data["published_at"]),
-                    solver=str(data["solver"]),
-                    convergence=ConvergenceInfo(
-                        converged=bool(data["converged"]),
-                        iterations=int(data["iterations"]),
-                        residual=float(data["residual"]),
-                        tolerance=float(data["tolerance"]),
-                    ),
-                )
-                stored_digest = str(data["digest"])
-        except Exception as exc:  # noqa: BLE001 - any corruption ⇒ skip
+            fields, arrays, _digest = read_container(path)
+        except CodecError as exc:
+            _record_reject(exc.reason)
+            _logger.warning("rejecting snapshot %s (%s)", path, exc)
+            return None
+        if fields.get("format_version") != _SNAPSHOT_FORMAT_VERSION:
+            _record_reject("format_version")
+            _logger.warning(
+                "rejecting snapshot %s: format version %r != %d",
+                path,
+                fields.get("format_version"),
+                _SNAPSHOT_FORMAT_VERSION,
+            )
+            return None
+        try:
+            return RankingSnapshot(
+                version=int(fields["version"]),
+                kind=str(fields["kind"]),
+                sigma=arrays["sigma"],
+                kappa=arrays["kappa"],
+                key=str(fields["key"]),
+                published_at=float(fields["published_at"]),
+                solver=str(fields["solver"]),
+                convergence=ConvergenceInfo(
+                    converged=bool(fields["converged"]),
+                    iterations=int(fields["iterations"]),
+                    residual=float(fields["residual"]),
+                    tolerance=float(fields["tolerance"]),
+                ),
+            )
+        except (KeyError, TypeError, ValueError, ServingError) as exc:
             _record_reject("unreadable")
             _logger.warning("rejecting unreadable snapshot %s (%s)", path, exc)
             return None
-        if snapshot.digest() != stored_digest:
-            _record_reject("digest")
-            _logger.warning(
-                "rejecting snapshot %s: payload digest mismatch "
-                "(tampered or corrupted)",
-                path,
-            )
-            return None
-        return snapshot
 
     def latest(self, kind: str | None = None) -> RankingSnapshot | None:
         """The newest *healthy* snapshot (of ``kind``, when given).
@@ -369,10 +346,7 @@ class SnapshotStore:
         if newest_healthy is not None:
             doomed.extend(v for v in unreadable if v < newest_healthy)
         for version in doomed:
-            try:
-                self.path_for(version).unlink()
-            except FileNotFoundError:  # pragma: no cover - concurrent prune
-                pass
+            remove(self.path_for(version))
             self._kinds.pop(version, None)
 
     def prune(self) -> None:

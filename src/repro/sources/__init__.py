@@ -18,12 +18,6 @@ from .assignment import SourceAssignment
 from .quotient import quotient_edge_counts, quotient_unique_page_counts
 from .consensus import consensus_weights, uniform_weights
 from .sourcegraph import SourceGraph
-from .io import (
-    load_assignment,
-    load_source_graph,
-    save_assignment,
-    save_source_graph,
-)
 
 __all__ = [
     "SourceAssignment",
@@ -32,8 +26,4 @@ __all__ = [
     "consensus_weights",
     "uniform_weights",
     "SourceGraph",
-    "save_assignment",
-    "load_assignment",
-    "save_source_graph",
-    "load_source_graph",
 ]

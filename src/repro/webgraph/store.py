@@ -10,11 +10,13 @@ decodable independently — ``load_block(i)`` touches exactly one file —
 which is what lets the blocked operator stream the fixpoint without ever
 assembling the full matrix.
 
-Durability reuses the snapshot-store idioms: shards are published with
-``atomic_savez`` (tmp + fsync + ``os.replace``), the manifest carries a
-sha256 digest per shard, and a digest or format mismatch on load is rejected
-with a ``repro_store_rejects_total`` counter and a typed error rather than
-silently serving torn bytes.
+Each shard is a :mod:`repro.container` file, published atomically and named
+after its own sha256 digest; the manifest records that digest.  A writer
+therefore never overwrites a file that a live manifest names, and
+:meth:`ShardedStoreWriter.finalize`'s manifest publish is the single commit
+point.  A shard whose bytes, digest or structure disagree with the manifest
+is rejected with a ``repro_store_rejects_total`` counter and a typed error
+rather than silently serving torn bytes.
 
 Stores come in two flavours:
 
@@ -28,12 +30,8 @@ Stores come in two flavours:
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
-import os
-import tempfile
-import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator
@@ -41,6 +39,7 @@ from typing import TYPE_CHECKING, Iterator
 import numpy as np
 import scipy.sparse as sp
 
+from ..container import pack, publish, read_container, remove
 from ..errors import CodecError, GraphError
 from ..logging_utils import get_logger
 from .gaps import from_gaps, to_gaps, zigzag_decode, zigzag_encode
@@ -59,7 +58,7 @@ __all__ = [
 
 log = get_logger("webgraph.store")
 
-STORE_FORMAT_VERSION = 1
+STORE_FORMAT_VERSION = 2
 MANIFEST_NAME = "manifest.json"
 DEFAULT_BLOCK_SIZE = 65_536
 
@@ -119,24 +118,6 @@ class ShardInfo:
             raise CodecError(f"malformed shard record in manifest: {exc}") from exc
 
 
-def _shard_digest(
-    payload: bytes,
-    counts: np.ndarray,
-    data: np.ndarray | None,
-    *,
-    row_start: int,
-    n_sources: int,
-) -> str:
-    """sha256 over the encoded shard content plus its placement header."""
-    h = hashlib.sha256()
-    h.update(f"shard:v{STORE_FORMAT_VERSION}:{row_start}:{n_sources}".encode())
-    h.update(payload)
-    h.update(np.ascontiguousarray(counts, dtype=np.int64).tobytes())
-    if data is not None:
-        h.update(np.ascontiguousarray(data, dtype=np.float64).tobytes())
-    return h.hexdigest()
-
-
 def _encode_block(
     local_indptr: np.ndarray, indices: np.ndarray, *, row_start: int
 ) -> bytes:
@@ -171,24 +152,6 @@ def _decode_block(
         gaps = gaps.copy()
         gaps[starts] = zigzag_encode(zigzag_decode(gaps[starts]) + row_start)
     return from_gaps(local_indptr, gaps)
-
-
-def _atomic_write_text(path: Path, text: str) -> None:
-    """Publish a text file with the tmp + fsync + ``os.replace`` pattern."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:  # pragma: no cover - tmp already consumed
-            pass
-        raise
 
 
 class ShardedStoreWriter:
@@ -274,23 +237,20 @@ class ShardedStoreWriter:
                 )
 
         payload = _encode_block(indptr, indices, row_start=row_start)
-        counts = np.diff(indptr)
-        digest = _shard_digest(
-            payload, counts, data, row_start=row_start, n_sources=self._n
-        )
-        block_id = len(self._shards)
-        filename = f"shard-{block_id:05d}.npz"
         arrays = {
-            "format_version": np.int64(STORE_FORMAT_VERSION),
-            "row_start": np.int64(row_start),
             "payload": np.frombuffer(payload, dtype=np.uint8),
-            "counts": counts,
+            "counts": np.diff(indptr),
         }
         if weighted:
             arrays["data"] = data
-        from ..resilience.checkpoint import atomic_savez
-
-        atomic_savez(self._dir / filename, **arrays)
+        chunks, digest = pack(
+            {"format_version": STORE_FORMAT_VERSION, "row_start": row_start}, arrays
+        )
+        block_id = len(self._shards)
+        # Named after its content, so no write can touch a file that the
+        # live manifest names.
+        filename = f"shard-{block_id:05d}-{digest[:16]}"
+        publish(self._dir / filename, chunks)
         info = ShardInfo(
             block_id=block_id,
             row_start=row_start,
@@ -321,7 +281,12 @@ class ShardedStoreWriter:
         )
 
     def finalize(self, *, meta: dict | None = None) -> "ShardedGraphStore":
-        """Publish the manifest and reopen the finished store."""
+        """Publish the manifest and reopen the finished store.
+
+        The manifest publish is the commit point: until it lands, the
+        directory's previous store (if any) stays whole.  Shard files the
+        new manifest does not name are deleted after it.
+        """
         if self._finalized:
             raise GraphError("writer already finalized")
         if self._rows_written != self._n:
@@ -338,10 +303,13 @@ class ShardedStoreWriter:
             "meta": dict(meta or {}),
             "shards": [info.to_json() for info in self._shards],
         }
-        _atomic_write_text(
-            self._dir / MANIFEST_NAME, json.dumps(manifest, indent=2) + "\n"
-        )
+        text = json.dumps(manifest, indent=2) + "\n"
+        publish(self._dir / MANIFEST_NAME, [text.encode("utf-8")])
         self._finalized = True
+        named = {info.filename for info in self._shards}
+        for path in self._dir.glob("shard-*"):
+            if path.name not in named:
+                remove(path)
         return ShardedGraphStore.open(self._dir)
 
 
@@ -432,13 +400,12 @@ class ShardedGraphStore:
 
     # -- block access ----------------------------------------------------
 
-    def load_block(self, block_id: int, *, verify: bool = True) -> sp.csr_matrix:
+    def load_block(self, block_id: int) -> sp.csr_matrix:
         """Decode one shard to a CSR block of shape ``(n_rows, n_sources)``.
 
-        Touches exactly one file; with ``verify`` (the default) the payload
-        digest is recomputed and a mismatch raises :class:`CodecError` after
-        bumping ``repro_store_rejects_total`` — same contract as the
-        serving snapshot store.
+        Touches exactly one file, whose digest is checked against the
+        manifest before anything in it is parsed.  Any failure raises
+        :class:`CodecError` after bumping ``repro_store_rejects_total``.
         """
         if not 0 <= block_id < len(self._shards):
             raise GraphError(
@@ -448,38 +415,45 @@ class ShardedGraphStore:
         info = self._shards[block_id]
         path = self._dir / info.filename
         try:
-            with np.load(path) as archive:
-                version = int(archive["format_version"])
-                row_start = int(archive["row_start"])
-                payload = archive["payload"]
-                counts = archive["counts"].astype(np.int64)
-                data = archive["data"] if "data" in archive.files else None
-        except (OSError, KeyError, ValueError, zipfile.BadZipFile) as exc:
-            _record_reject("unreadable")
-            raise CodecError(f"unreadable shard {path}: {exc}") from exc
+            shard = read_container(path)
+            if shard.digest != info.digest:
+                raise CodecError(
+                    f"shard {path} failed digest verification against the manifest",
+                    reason="digest",
+                )
+        except CodecError as exc:
+            _record_reject(exc.reason)
+            log.warning("rejecting shard %s: %s", path, exc)
+            raise
+        version = shard.fields.get("format_version")
+        row_start = shard.fields.get("row_start")
         if version != STORE_FORMAT_VERSION or row_start != info.row_start:
             _record_reject("format_version")
             raise CodecError(
                 f"shard {path} header mismatch (version={version}, "
                 f"row_start={row_start})"
             )
-        if counts.size != info.n_rows or int(counts.sum()) != info.n_edges:
+        payload = shard.arrays.get("payload")
+        counts = shard.arrays.get("counts")
+        data = shard.arrays.get("data")
+        if (
+            payload is None
+            or counts is None
+            or counts.shape != (info.n_rows,)
+            or int(counts.sum()) != info.n_edges
+        ):
             _record_reject("structure")
             raise CodecError(f"shard {path} row/edge counts disagree with manifest")
-        if verify:
-            digest = _shard_digest(
-                payload.tobytes(), counts, data,
-                row_start=info.row_start, n_sources=self.n_sources,
-            )
-            if digest != info.digest:
-                _record_reject("digest")
-                log.warning("rejecting shard %s: payload digest mismatch", path)
-                raise CodecError(f"shard {path} failed digest verification")
+        counts = np.asarray(counts, dtype=np.int64)
         local_indptr = np.zeros(info.n_rows + 1, dtype=np.int64)
         np.cumsum(counts, out=local_indptr[1:])
-        indices = _decode_block(
-            payload, local_indptr, row_start=info.row_start, n_edges=info.n_edges
-        )
+        try:
+            indices = _decode_block(
+                payload, local_indptr, row_start=info.row_start, n_edges=info.n_edges
+            )
+        except CodecError:
+            _record_reject("structure")
+            raise
         if indices.size and (indices.min() < 0 or indices.max() >= self.n_sources):
             _record_reject("structure")
             raise CodecError(f"shard {path} decoded out-of-range column indices")
@@ -491,22 +465,20 @@ class ShardedGraphStore:
             data = np.repeat(inv, counts)
         else:
             data = np.asarray(data, dtype=np.float64)
-            if data.size != info.n_edges:
+            if data.shape != (info.n_edges,):
                 _record_reject("structure")
                 raise CodecError(f"shard {path} weight count disagrees with manifest")
         return sp.csr_matrix(
             (data, indices, local_indptr), shape=(info.n_rows, self.n_sources)
         )
 
-    def iter_blocks(
-        self, *, verify: bool = True
-    ) -> Iterator[tuple[ShardInfo, sp.csr_matrix]]:
+    def iter_blocks(self) -> Iterator[tuple[ShardInfo, sp.csr_matrix]]:
         for info in self._shards:
-            yield info, self.load_block(info.block_id, verify=verify)
+            yield info, self.load_block(info.block_id)
 
     def verify(self) -> None:
         """Decode and digest-check every shard; raises on the first bad one."""
-        for _info, _block in self.iter_blocks(verify=True):
+        for _info, _block in self.iter_blocks():
             pass
 
     # -- whole-graph escapes --------------------------------------------

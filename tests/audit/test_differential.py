@@ -90,27 +90,24 @@ class TestOracle:
             return RankingResult(scores, result.convergence, label=label)
 
         solver_registry.register("broken-for-test", broken)
-        try:
-            cases = generate_case_suite(2)[:1]
-            report = run_differential_oracle(
-                cases=cases, solvers=("power", "broken-for-test")
+        cases = generate_case_suite(2)[:1]
+        report = run_differential_oracle(
+            cases=cases, solvers=("power", "broken-for-test")
+        )
+        assert not report.passed
+        assert report.disagreements
+        worst = max(d.max_abs_diff for d in report.disagreements)
+        assert worst > AGREEMENT_ATOL
+        assert any(
+            "broken-for-test" in (d.combo_a + d.combo_b)
+            for d in report.disagreements
+        )
+        with pytest.raises(AuditError):
+            run_differential_oracle(
+                cases=cases,
+                solvers=("power", "broken-for-test"),
+                strict=True,
             )
-            assert not report.passed
-            assert report.disagreements
-            worst = max(d.max_abs_diff for d in report.disagreements)
-            assert worst > AGREEMENT_ATOL
-            assert any(
-                "broken-for-test" in (d.combo_a + d.combo_b)
-                for d in report.disagreements
-            )
-            with pytest.raises(AuditError):
-                run_differential_oracle(
-                    cases=cases,
-                    solvers=("power", "broken-for-test"),
-                    strict=True,
-                )
-        finally:
-            del solver_registry._solvers["broken-for-test"]
 
     def test_summary_mentions_status(self):
         report = DifferentialReport(seed=0, atol=1e-9, tolerance=1e-12)

@@ -8,7 +8,17 @@ import pytest
 from repro.config import RankingParams
 from repro.datasets import load_dataset
 from repro.graph import PageGraph
+from repro.linalg.registry import solver_registry
 from repro.sources import SourceAssignment, SourceGraph
+
+
+@pytest.fixture(autouse=True)
+def _restore_solver_registry():
+    """Solvers a test registers must not leak into the tests after it."""
+    saved = dict(solver_registry._solvers)
+    yield
+    solver_registry._solvers.clear()
+    solver_registry._solvers.update(saved)
 
 
 @pytest.fixture(scope="session")

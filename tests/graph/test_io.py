@@ -4,16 +4,13 @@ from __future__ import annotations
 
 import io
 
-import numpy as np
 import pytest
 
-from repro.errors import CodecError, GraphError
+from repro.errors import GraphError
 from repro.graph import (
     PageGraph,
-    load_npz,
     read_edge_list,
     read_labeled_edges,
-    save_npz,
     write_edge_list,
 )
 
@@ -76,40 +73,3 @@ class TestLabeledEdges:
         with pytest.raises(GraphError, match="line 1"):
             read_labeled_edges(io.StringIO("only-one-field\n"))
 
-
-class TestNpzIO:
-    def test_roundtrip(self, small_graph, tmp_path):
-        path = tmp_path / "graph.npz"
-        save_npz(small_graph, path)
-        assert load_npz(path) == small_graph
-
-    def test_missing_field_rejected(self, tmp_path):
-        path = tmp_path / "bogus.npz"
-        np.savez_compressed(path, unrelated=np.arange(3))
-        with pytest.raises(CodecError, match="missing field"):
-            load_npz(path)
-
-    def test_wrong_version_rejected(self, small_graph, tmp_path):
-        path = tmp_path / "graph.npz"
-        np.savez_compressed(
-            path,
-            format_version=np.int64(999),
-            n_nodes=np.int64(small_graph.n_nodes),
-            indptr=small_graph.indptr,
-            indices=small_graph.indices,
-        )
-        with pytest.raises(CodecError, match="version"):
-            load_npz(path)
-
-    def test_tampered_archive_roundtrip(self, small_graph, tmp_path):
-        # A valid archive with one payload key dropped must raise
-        # CodecError, and a freshly re-saved archive must load again.
-        path = tmp_path / "graph.npz"
-        save_npz(small_graph, path)
-        with np.load(path) as data:
-            kept = {k: data[k] for k in data.files if k != "indices"}
-        np.savez_compressed(path, **kept)
-        with pytest.raises(CodecError, match="missing field"):
-            load_npz(path)
-        save_npz(small_graph, path)
-        assert load_npz(path) == small_graph

@@ -48,35 +48,26 @@ class TestRegistration:
             return power_iteration(operand, params, label=label, **kwargs)
 
         register_solver("fake", fake_solver)
-        try:
-            params = RankingParams(solver="fake")
-            result = solver_registry.solve(
-                small_source_graph.matrix, params, label="via-params"
-            )
-            assert calls == ["via-params"]
-            assert result.scores.sum() == pytest.approx(1.0)
-        finally:
-            del solver_registry._solvers["fake"]
+        params = RankingParams(solver="fake")
+        result = solver_registry.solve(
+            small_source_graph.matrix, params, label="via-params"
+        )
+        assert calls == ["via-params"]
+        assert result.scores.sum() == pytest.approx(1.0)
 
     def test_duplicate_registration_raises(self):
         register_solver("dupe", lambda *a, **k: None)
-        try:
-            with pytest.raises(ConfigError, match="already registered"):
-                register_solver("dupe", lambda *a, **k: None)
-            register_solver("dupe", lambda *a, **k: 1, overwrite=True)
-            assert get_solver("dupe")() == 1
-        finally:
-            del solver_registry._solvers["dupe"]
+        with pytest.raises(ConfigError, match="already registered"):
+            register_solver("dupe", lambda *a, **k: None)
+        register_solver("dupe", lambda *a, **k: 1, overwrite=True)
+        assert get_solver("dupe")() == 1
 
     def test_decorator_form(self):
         @register_solver("decorated")
         def my_solver(operand, params, **kwargs):
             return "ran"
 
-        try:
-            assert get_solver("decorated") is my_solver
-        finally:
-            del solver_registry._solvers["decorated"]
+        assert get_solver("decorated") is my_solver
 
 
 class TestParamsValidation:

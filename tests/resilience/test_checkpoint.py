@@ -4,14 +4,18 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.config import RankingParams, ResilienceParams
 from repro.core.pipeline import SpamResilientPipeline
+from repro.errors import ConvergenceError, NumericalError
+from repro.linalg.operator import CsrOperator
 from repro.observability.metrics import get_registry, reset_registry
 from repro.ranking.power import power_iteration
 from repro.resilience import (
+    FaultyOperator,
     PipelineCheckpointer,
     SimulatedCrash,
     SolveCheckpointer,
@@ -133,6 +137,38 @@ class TestCrashResume:
             .value
         )
         assert resumes == 1
+
+    def test_nan_iterate_stops_the_solve_and_is_never_saved(self, tmp_path):
+        # Without guards, the first non-finite residual ends the solve with
+        # the last finite iterate, and no NaN checkpoint outlives it.
+        links = sp.random(2000, 2000, density=0.005, random_state=17, format="csr")
+        out = np.asarray(links.sum(axis=1)).ravel()
+        matrix = (sp.diags(1.0 / np.maximum(out, 1e-12)) @ links).tocsr()
+        clean = power_iteration(matrix, RankingParams())
+        ckpt = SolveCheckpointer(tmp_path, every=25, resume=True)
+        params = RankingParams().with_(checkpoint=ckpt)
+
+        def faulty() -> FaultyOperator:
+            return FaultyOperator(CsrOperator(matrix), corrupt_at_call=5, seed=17)
+
+        with pytest.raises(ConvergenceError) as info:
+            power_iteration(faulty(), params, label="nan")
+        assert info.value.iterations == 5
+        assert np.isfinite(info.value.last_iterate).all()
+        assert not ckpt.path_for("nan").exists()
+        resumed = power_iteration(matrix, params, label="nan")
+        assert resumed.convergence.iterations == clean.convergence.iterations
+        np.testing.assert_array_equal(resumed.scores, clean.scores)
+        # With guards on, the guard still names the fault first.
+        with pytest.raises(NumericalError):
+            power_iteration(faulty(), RankingParams(resilience=ResilienceParams()))
+        trips = (
+            get_registry()
+            .counter("repro_guard_trips_total", labelnames=("kind",))
+            .labels(kind="nan")
+            .value
+        )
+        assert trips == 1
 
 
 class TestPipelineStageCheckpoints:

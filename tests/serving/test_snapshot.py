@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.container import read_container, write_container
 from repro.errors import ServingError
 from repro.linalg.iterate import ConvergenceInfo
 from repro.observability.metrics import get_registry, reset_registry
@@ -33,6 +34,21 @@ def publish_one(store: SnapshotStore, *, kind: str = "sr", seed: int = 0):
         solver="power",
         convergence=ConvergenceInfo(True, 5, 1e-10, 1e-9),
     )
+
+
+def rewrite(path, *, keep_seal: bool, **values) -> None:
+    """Re-save one snapshot with ``values`` replacing its fields or arrays.
+
+    With ``keep_seal`` the file keeps its old trailing digest, as bytes
+    changed in place would.
+    """
+    fields, arrays, digest = read_container(path)
+    fields, arrays = dict(fields), dict(arrays)
+    for name, value in values.items():
+        (fields if name in fields else arrays)[name] = value
+    write_container(path, fields, arrays)
+    if keep_seal:
+        path.write_bytes(path.read_bytes()[:-32] + bytes.fromhex(digest))
 
 
 def counter_value(name: str, **labels: str) -> float:
@@ -84,11 +100,7 @@ class TestPublishLoad:
     def test_converged_flag_is_digest_protected(self, tmp_path):
         store = SnapshotStore(tmp_path)
         snap = publish_one(store)
-        path = store.path_for(snap.version)
-        with np.load(path, allow_pickle=False) as data:
-            arrays = {name: data[name] for name in data.files}
-        arrays["converged"] = np.bool_(False)  # falsify provenance
-        np.savez(path, **arrays)
+        rewrite(store.path_for(snap.version), keep_seal=True, converged=False)
         assert store.load(snap.version) is None
 
     def test_versions_monotonic(self, tmp_path):
@@ -146,22 +158,14 @@ class TestIntegrity:
     def test_tampered_payload_rejected(self, tmp_path):
         store = SnapshotStore(tmp_path)
         snap = publish_one(store)
-        path = store.path_for(snap.version)
-        with np.load(path, allow_pickle=False) as data:
-            arrays = {name: data[name] for name in data.files}
-        arrays["sigma"] = np.asarray(arrays["sigma"]) * 2.0  # flip the payload
-        np.savez(path, **arrays)
+        rewrite(store.path_for(snap.version), keep_seal=True, sigma=snap.sigma * 2.0)
         assert store.load(snap.version) is None
         assert counter_value("repro_snapshot_rejects_total", reason="digest") == 1
 
     def test_wrong_format_version_rejected(self, tmp_path):
         store = SnapshotStore(tmp_path)
         snap = publish_one(store)
-        path = store.path_for(snap.version)
-        with np.load(path, allow_pickle=False) as data:
-            arrays = {name: data[name] for name in data.files}
-        arrays["format_version"] = np.int64(999)
-        np.savez(path, **arrays)
+        rewrite(store.path_for(snap.version), keep_seal=False, format_version=999)
         assert store.load(snap.version) is None
         assert counter_value(
             "repro_snapshot_rejects_total", reason="format_version"

@@ -8,16 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import CodecError, GraphError
-from repro.graph import PageGraph, load_npz, save_npz
+from repro.errors import CodecError
 from repro.webgraph import decode_varints, encode_varints
-
-
-@pytest.fixture(scope="module")
-def graph():
-    gen = np.random.default_rng(13)
-    n = 200
-    return PageGraph.from_edges(gen.integers(0, n, 1500), gen.integers(0, n, 1500), n)
 
 
 class TestVarintCorruption:
@@ -65,35 +57,3 @@ class TestVarintCorruption:
                 continue
             pytest.fail(f"truncation at {cut} decoded with full count")
 
-
-class TestNpzGraphCorruption:
-    def test_indices_out_of_range_rejected(self, graph, tmp_path):
-        path = tmp_path / "g.npz"
-        np.savez_compressed(
-            path,
-            format_version=np.int64(1),
-            n_nodes=np.int64(graph.n_nodes),
-            indptr=graph.indptr,
-            indices=graph.indices + graph.n_nodes,  # all out of range
-        )
-        with pytest.raises(GraphError):
-            load_npz(path)
-
-    def test_inconsistent_indptr_rejected(self, graph, tmp_path):
-        path = tmp_path / "g.npz"
-        bad_indptr = graph.indptr.copy()
-        bad_indptr[-1] += 1
-        np.savez_compressed(
-            path,
-            format_version=np.int64(1),
-            n_nodes=np.int64(graph.n_nodes),
-            indptr=bad_indptr,
-            indices=graph.indices,
-        )
-        with pytest.raises(GraphError):
-            load_npz(path)
-
-    def test_roundtrip_still_clean(self, graph, tmp_path):
-        path = tmp_path / "g.npz"
-        save_npz(graph, path)
-        assert load_npz(path) == graph

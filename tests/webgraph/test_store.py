@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from repro.container import read_container, write_container
 from repro.errors import CodecError, GraphError
 from repro.graph import PageGraph
 from repro.webgraph.store import (
@@ -28,14 +29,28 @@ def _stochastic(n: int, density: float, seed: int) -> sp.csr_matrix:
     return out
 
 
-def _rewrite_shard(store: ShardedGraphStore, block_id: int, **edits) -> None:
-    """Re-save one shard with ``edits[name](array)`` applied to its arrays."""
+def _rewrite_shard(
+    store: ShardedGraphStore, block_id: int, *, reseal: bool = False, **edits
+) -> ShardedGraphStore:
+    """Re-save one shard with ``edits[name](value)`` applied to its fields
+    and arrays, and return the store reopened.
+
+    The manifest keeps the shard's old digest, so loads fail on it, unless
+    ``reseal`` records the new one: then loads reach the structural checks.
+    """
     path = store.directory / store.shards[block_id].filename
-    with np.load(path) as archive:
-        arrays = {name: archive[name] for name in archive.files}
+    fields, arrays, _digest = read_container(path)
+    fields, arrays = dict(fields), dict(arrays)
     for name, edit in edits.items():
-        arrays[name] = edit(arrays[name])
-    np.savez(path, **arrays)
+        values = fields if name in fields else arrays
+        values[name] = edit(values[name])
+    digest = write_container(path, fields, arrays)
+    if reseal:
+        manifest_path = store.directory / MANIFEST_NAME
+        manifest = json.loads(manifest_path.read_text())
+        manifest["shards"][block_id]["digest"] = digest
+        manifest_path.write_text(json.dumps(manifest))
+    return ShardedGraphStore.open(store.directory)
 
 
 def _assert_same_structure(store: ShardedGraphStore, graph: PageGraph) -> None:
@@ -106,6 +121,13 @@ class TestRoundtrip:
     def test_verify_clean_store(self, store):
         store.verify()
 
+    def test_resharding_in_place_keeps_only_named_shards(self, matrix, store):
+        again = ShardedGraphStore.from_matrix(matrix, store.directory, block_size=32)
+        assert again.n_blocks != store.n_blocks
+        names = {path.name for path in store.directory.iterdir()}
+        assert names == {MANIFEST_NAME} | {info.filename for info in again.shards}
+        assert (again.materialize() != matrix).nnz == 0
+
     def test_unweighted_pagegraph_store(self, tmp_path):
         gen = np.random.default_rng(5)
         n = 60
@@ -167,8 +189,8 @@ class TestPageGraphCodec:
             page_graph, tmp_path / "pg", block_size=64
         )
         for info in store.shards:
-            with np.load(store.directory / info.filename) as archive:
-                assert archive["payload"].size == info.payload_bytes
+            shard = read_container(store.directory / info.filename)
+            assert shard.arrays["payload"].size == info.payload_bytes
         summary = store.describe()
         assert summary["n_edges"] == page_graph.n_edges
         assert summary["payload_bytes"] == sum(
@@ -187,12 +209,17 @@ class TestPageGraphCodec:
 
 
 class TestIntegrity:
-    def test_tampered_weights_fail_digest(self, store):
+    def test_tampered_weights_fail_digest(self, matrix, store):
         _rewrite_shard(store, 0, data=lambda data: data * 1.01)
         with pytest.raises(CodecError, match="digest"):
             store.load_block(0)
-        # verify=False skips the digest check (content is still decodable).
-        store.load_block(0, verify=False)
+        # Resealed into the manifest, the same bytes load as written.
+        resealed = _rewrite_shard(store, 0, reseal=True)
+        info = resealed.shards[0]
+        np.testing.assert_allclose(
+            resealed.load_block(0).data,
+            matrix[info.row_start : info.row_stop].data * 1.01,
+        )
 
     def test_tampered_payload_fails_digest(self, store):
         def flip_first_bit(payload):
@@ -212,12 +239,13 @@ class TestIntegrity:
         _rewrite_shard(store, 0, payload=lambda payload: payload[:-1])
         with pytest.raises(CodecError, match="digest"):
             store.load_block(0)
-        # Without the digest, the varint decoder still counts one value short.
+        # Resealed, the varint decoder still counts one value short.
+        resealed = _rewrite_shard(store, 0, reseal=True)
         with pytest.raises(
             CodecError,
             match=f"expected {n_edges} values, stream holds {n_edges - 1}",
         ):
-            store.load_block(0, verify=False)
+            resealed.load_block(0)
 
     def test_counts_disagreeing_with_manifest_rejected(self, store):
         def one_more_edge(counts):
@@ -225,32 +253,31 @@ class TestIntegrity:
             counts[-1] += 1
             return counts
 
-        _rewrite_shard(store, 0, counts=one_more_edge)
+        tampered = _rewrite_shard(store, 0, reseal=True, counts=one_more_edge)
         with pytest.raises(CodecError, match="disagree with manifest"):
-            store.load_block(0, verify=False)
+            tampered.load_block(0)
 
     def test_counts_of_wrong_length_rejected(self, store):
         # Same edge total, one row short: the per-row counts index the block.
         def merge_last_two_rows(counts):
             return np.append(counts[:-2], counts[-2] + counts[-1])
 
-        _rewrite_shard(store, 0, counts=merge_last_two_rows)
+        tampered = _rewrite_shard(store, 0, reseal=True, counts=merge_last_two_rows)
         with pytest.raises(CodecError, match="disagree with manifest"):
-            store.load_block(0, verify=False)
+            tampered.load_block(0)
 
     def test_bad_shard_version(self, store):
-        _rewrite_shard(store, 0, format_version=lambda _: np.int64(99))
+        tampered = _rewrite_shard(store, 0, reseal=True, format_version=lambda _: 99)
         with pytest.raises(CodecError, match="version=99"):
-            store.load_block(0, verify=False)
+            tampered.load_block(0)
 
     def test_corrupt_shard_file_rejected(self, store):
         path = store.directory / store.shards[0].filename
         blob = bytearray(path.read_bytes())
         blob[len(blob) // 2] ^= 0xFF
         path.write_bytes(bytes(blob))
-        for verify in (True, False):
-            with pytest.raises(CodecError, match="unreadable"):
-                store.load_block(0, verify=verify)
+        with pytest.raises(CodecError, match="digest"):
+            store.load_block(0)
 
     def test_missing_shard_file(self, store):
         (store.directory / store.shards[0].filename).unlink()
