@@ -156,23 +156,24 @@ def run(quick: bool, seed: int) -> dict:
     }
     ok = ok and max(sweep_diffs) <= EQUIVALENCE_ATOL
 
-    # --- telemetry overhead: events + live endpoint vs bare solve ---------
+    # --- telemetry overhead: one tracer + live endpoint vs bare solve -----
     # The ledger tracks ``telemetry_overhead.overhead_fraction`` with an
-    # absolute ceiling (0.05): turning on the correlated event log and the
-    # scrape endpoint must not cost more than 5% of solve wall time.
-    # Profiling stays off — it is the one knob documented as expensive.
+    # absolute ceiling (0.05): activating a tracer (solve span, events)
+    # with the scrape endpoint serving it must not cost more than 5% of
+    # solve wall time.  Profiling stays off — it is the one switch
+    # documented as expensive.
     from urllib.request import urlopen
 
-    from repro.observability import EventLog, TelemetryServer
+    from repro.observability import TelemetryServer, Tracer
 
     tel_repeats = max(repeats, 5)  # sub-ms solves need extra repeats
-    events = EventLog()
-    server = TelemetryServer(event_log=events).start()
+    tracer = Tracer()
+    server = TelemetryServer(tracer=tracer).start()
     try:
-        with events.activate():
+        with tracer.activate():
             lazy_once()  # warm-up: first emit pays one-time lazy init
         t_plain, _ = time_repeats(lazy_once, tel_repeats)
-        with events.activate():
+        with tracer.activate():
             t_tel, _ = time_repeats(lazy_once, tel_repeats)
         # Prove the endpoint was actually live alongside the timed solves.
         with urlopen(server.url("/health"), timeout=5.0) as resp:
@@ -183,9 +184,9 @@ def run(quick: bool, seed: int) -> dict:
         "plain_seconds": t_plain,
         "telemetry_seconds": t_tel,
         "overhead_fraction": (t_tel - t_plain) / t_plain if t_plain > 0 else None,
-        "events_emitted": len(events),
+        "events_emitted": tracer.events_emitted,
         "endpoint_ok": endpoint_ok,
-        "run_id": events.run_id,
+        "run_id": tracer.run_id,
     }
 
     report["equivalent"] = ok
@@ -225,7 +226,7 @@ def main(argv: list[str] | None = None) -> int:
     tel = report["telemetry_overhead"]
     print(
         f"  telemetry: bare {tel['plain_seconds']:.4f}s, "
-        f"events+endpoint {tel['telemetry_seconds']:.4f}s "
+        f"tracer+endpoint {tel['telemetry_seconds']:.4f}s "
         f"(overhead {tel['overhead_fraction']:+.2%}, "
         f"{tel['events_emitted']} events)"
     )

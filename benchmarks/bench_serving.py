@@ -110,7 +110,7 @@ def build_service(store_dir: Path, seed: int, observe: bool = False):
         resilience=ResilienceParams(fallback_solvers=("jacobi",)),
     )
     observability = (
-        ObservabilityParams(events=True, endpoint=True) if observe else None
+        ObservabilityParams(endpoint=True) if observe else None
     )
     service = RankingService(
         store_dir, params, serving, observability=observability
@@ -610,7 +610,7 @@ def run(quick: bool, seed: int, duration: float, store_dir: Path) -> dict:
 
     # Every buffered event must carry the service's run id — one id
     # stitches bootstrap → chaos → ladder → soak → snapshot publishes.
-    buffered = service.events.events()
+    buffered = service.tracer.events()
     run_id = service.run_id
     events_correlated = bool(buffered) and all(
         event["run_id"] == run_id for event in buffered
@@ -618,7 +618,7 @@ def run(quick: bool, seed: int, duration: float, store_dir: Path) -> dict:
     event_kinds = sorted({event["kind"] for event in buffered})
     telemetry = {
         "run_id": run_id,
-        "events_emitted": len(service.events),
+        "events_emitted": service.tracer.events_emitted,
         "events_buffered": len(buffered),
         "events_correlated": events_correlated,
         "event_kinds": event_kinds,

@@ -72,13 +72,7 @@ from .errors import (
     StagnationError,
     ThrottleError,
 )
-from .observability import (
-    MetricsRegistry,
-    ProgressCallback,
-    SolverTelemetry,
-    Tracer,
-    get_registry,
-)
+from .observability import MetricsRegistry, Tracer, get_registry
 from .economics import AttackPlanner, CostModel, portfolio_value, traffic_share
 from .graph import GraphBuilder, PageGraph
 from .linalg import (
@@ -151,8 +145,6 @@ __all__ = [
     "ObservabilityError",
     # observability
     "MetricsRegistry",
-    "ProgressCallback",
-    "SolverTelemetry",
     "Tracer",
     "get_registry",
     # graph substrate

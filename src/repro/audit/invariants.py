@@ -513,7 +513,7 @@ def record_violations(
     violations = tuple(violations)
     if not violations:
         return violations
-    from ..observability.events import emit as emit_event
+    from ..observability.tracing import emit as emit_event
     from ..observability.metrics import get_registry
 
     counter = get_registry().counter(

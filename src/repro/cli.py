@@ -452,10 +452,10 @@ def _cmd_rank(args: argparse.Namespace) -> int:
     from .core.pipeline import SpamResilientPipeline
     from .datasets.registry import load_dataset
     from .graph.io import read_labeled_edges
-    from .observability import SolverTelemetry, format_tree, write_metrics
+    from .observability import Tracer, format_tree, write_metrics
     from .sources.assignment import SourceAssignment
 
-    telemetry = SolverTelemetry() if (args.metrics_out or args.trace) else None
+    tracer = Tracer(events_path=args.events_out, profile=args.profile)
 
     if args.dataset:
         ds = load_dataset(args.dataset)
@@ -504,61 +504,47 @@ def _cmd_rank(args: argparse.Namespace) -> int:
     audit = None
     if args.audit:
         audit = AuditParams(strict=not args.audit_lenient)
-    observability = None
-    if args.events_out or args.profile:
-        from .config import ObservabilityParams
-
-        observability = ObservabilityParams(
-            events=bool(args.events_out) or args.profile,
-            events_path=None if args.events_out is None else str(args.events_out),
-            profile=args.profile,
-        )
     with SpamResilientPipeline(
         ranking=RankingParams(
             alpha=args.alpha,
             solver=args.solver,
-            progress=telemetry,
             resilience=resilience,
             audit=audit,
         ),
         throttle=throttle,
-        proximity=SpamProximityParams(
-            progress=telemetry, resilience=resilience, audit=audit
-        ),
+        proximity=SpamProximityParams(resilience=resilience, audit=audit),
         checkpoint_dir=args.checkpoint_dir,
         resume=args.resume,
-        observability=observability,
-    ) as pipe:
+    ) as pipe, tracer.activate():
         result = pipe.rank(graph, assignment, spam_seeds=seeds or None)
-    if args.trace and result.trace is not None:
+    if args.trace:
         print("\ntrace:")
         print(format_tree(result.trace))
-    if args.profile and pipe.profiler is not None:
+    if args.profile:
         print("\nprofile (wall / CPU per stage):")
-        for record in pipe.profiler.records:
-            calls = "" if record.calls is None else f", {record.calls} calls"
+        for record in result.trace.walk():
+            attrs = record.meta
+            calls = f", {attrs['calls']} calls" if "calls" in attrs else ""
             print(
-                f"  {record.name}: {record.wall_seconds * 1e3:.1f} ms wall, "
-                f"{record.cpu_seconds * 1e3:.1f} ms cpu{calls}"
+                f"  {record.name}: {attrs['wall_seconds'] * 1e3:.1f} ms wall, "
+                f"{attrs['cpu_seconds'] * 1e3:.1f} ms cpu{calls}"
             )
-            for row in record.top[:3]:
+            for row in attrs.get("top", [])[:3]:
                 print(
                     f"      {row['function']}  "
                     f"cum={row['cumtime_seconds'] * 1e3:.1f} ms "
                     f"x{row['calls']}"
                 )
-    if args.events_out and pipe.events is not None:
+    if args.events_out:
         print(
-            f"wrote {len(pipe.events)} events (run_id {pipe.events.run_id}) "
+            f"wrote {tracer.events_emitted} events (run_id {tracer.run_id}) "
             f"to {args.events_out}"
         )
     if args.metrics_out:
         path = write_metrics(
             args.metrics_out,
-            trace=result.trace,
-            telemetry=telemetry,
-            events=pipe.events,
-            profiler=pipe.profiler,
+            tracer,
+            root=result.trace,
             meta={"command": "rank", "dataset": args.dataset or str(args.edges)},
         )
         print(f"wrote metrics to {path}")
@@ -580,17 +566,11 @@ def _cmd_rank(args: argparse.Namespace) -> int:
 
 
 def _cmd_figures(args: argparse.Namespace) -> int:
-    from .config import (
-        ExperimentParams,
-        RankingParams,
-        SpamProximityParams,
-        ThrottleParams,
-    )
+    from .config import ExperimentParams, ThrottleParams
     from .eval import run_fig2, run_fig3, run_fig4, run_fig5, run_fig6, run_fig7
     from .eval.experiments import run_table1
-    from .observability import SolverTelemetry, Tracer, format_tree, write_metrics
+    from .observability import Tracer, format_tree, write_metrics
 
-    telemetry = SolverTelemetry() if (args.metrics_out or args.trace) else None
     tracer = Tracer()
 
     def finish() -> None:
@@ -600,16 +580,11 @@ def _cmd_figures(args: argparse.Namespace) -> int:
         if args.metrics_out:
             path = write_metrics(
                 args.metrics_out,
-                trace=tracer,
-                telemetry=telemetry,
+                tracer,
                 meta={"command": "figures", "fast": bool(args.fast)},
             )
             print(f"wrote metrics to {path}")
 
-    instrumented = {
-        "ranking": RankingParams(progress=telemetry),
-        "proximity": SpamProximityParams(progress=telemetry),
-    }
     if args.fast:
         dataset = "tiny"
         params = ExperimentParams(
@@ -618,11 +593,10 @@ def _cmd_figures(args: argparse.Namespace) -> int:
             throttle=ThrottleParams(top_fraction=16 / 128),
             seed_fraction=0.25,
             n_buckets=10,
-            **instrumented,
         )
     else:
         dataset = "wb2001_like"
-        params = ExperimentParams(**instrumented)
+        params = ExperimentParams()
 
     if args.out is not None:
         from .eval import run_all
@@ -719,7 +693,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .datasets.registry import load_dataset
     from .errors import AdmissionError
     from .graph import add_edges
-    from .observability import write_metrics
     from .resilience.faults import FaultyOperator, crash_at_iteration
     from .serving import RankingService
     from .throttle.vector import ThrottleVector
@@ -735,7 +708,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         from .config import ObservabilityParams
 
         observability = ObservabilityParams(
-            events=True,
             events_path=(
                 None if args.events_out is None else str(args.events_out)
             ),
@@ -757,16 +729,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     if args.replicas:
         code = _serve_fleet(args, service, ds, kappa, rng)
-        if args.metrics_out:
-            path = write_metrics(
-                args.metrics_out, events=service.events, meta={"command": "serve"}
-            )
-            print(f"wrote metrics to {path}")
-        if args.events_out and service.events is not None:
-            print(
-                f"wrote {len(service.events)} events "
-                f"(run_id {service.events.run_id}) to {args.events_out}"
-            )
+        _serve_report(args, service)
         return code
 
     graph = ds.graph
@@ -807,18 +770,25 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     for rank, s in enumerate(np.asarray(response.value), start=1):
         print(f"  {rank:3d}. source-{int(s)}")
     print(f"\nhealth: {service.health()}")
-    if args.metrics_out:
-        path = write_metrics(
-            args.metrics_out, events=service.events, meta={"command": "serve"}
-        )
-        print(f"wrote metrics to {path}")
-    if args.events_out and service.events is not None:
-        print(
-            f"wrote {len(service.events)} events "
-            f"(run_id {service.events.run_id}) to {args.events_out}"
-        )
+    _serve_report(args, service)
     service.stop()
     return 0
+
+
+def _serve_report(args: argparse.Namespace, service) -> None:
+    """``serve``'s ``--metrics-out`` file and ``--events-out`` summary."""
+    from .observability import write_metrics
+
+    if args.metrics_out:
+        path = write_metrics(
+            args.metrics_out, service.tracer, meta={"command": "serve"}
+        )
+        print(f"wrote metrics to {path}")
+    if args.events_out:
+        print(
+            f"wrote {service.tracer.events_emitted} events "
+            f"(run_id {service.run_id}) to {args.events_out}"
+        )
 
 
 def _parse_chaos_spec(spec: str) -> tuple[int, str, dict]:

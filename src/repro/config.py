@@ -14,7 +14,6 @@ from typing import TYPE_CHECKING, Literal
 from .errors import ConfigError
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from .observability.progress import ProgressCallback
     from .resilience.checkpoint import SolveCheckpointer
 
 __all__ = [
@@ -118,65 +117,39 @@ class AuditParams:
 
 @dataclass(frozen=True, slots=True)
 class ObservabilityParams:
-    """Runtime-telemetry policy: event log, profiling, scrape endpoint.
+    """Runtime-telemetry policy: event file, profiling, scrape endpoint.
 
     Accepted by :class:`~repro.core.pipeline.SpamResilientPipeline` and
-    :class:`~repro.serving.RankingService`.  Everything defaults off;
-    each knob is independently zero-cost when disabled.
+    :class:`~repro.serving.RankingService`.  Everything defaults off.  A
+    host keeps one :class:`~repro.observability.Tracer` (spans, events,
+    run id; see :mod:`repro.observability.tracing`) when any switch is
+    set, and none otherwise.
 
     Parameters
     ----------
-    events:
-        Enable the correlated JSON event log (in-memory ring buffer; see
-        :mod:`repro.observability.events`).  Implied by ``events_path``.
     events_path:
-        Append events to this JSON-lines file as they happen.
-    run_id:
-        Correlation id stamped on every event; a fresh ``run-…`` id is
-        generated when omitted.
-    events_buffer:
-        Ring-buffer size of recent events kept in memory (the
-        ``/events`` endpoint and exports read from it).
+        Append the tracer's events to this JSON-lines file as they happen.
     profile:
-        Enable per-stage profiling hooks (cProfile on the outermost
-        block per thread, wall/CPU accounting on nested solver blocks;
-        see :mod:`repro.observability.profiling`).
-    profile_top:
-        How many hottest functions each profiled block retains.
+        Record wall/CPU seconds on every span, a cProfile table on the
+        outermost span per thread, and per-iteration step timings on
+        solve spans.
     endpoint:
         Start the live telemetry scrape endpoint (``/metrics``,
         ``/health``, ``/trace``, ``/events``; see
         :mod:`repro.observability.endpoint`).
     endpoint_host, endpoint_port:
         Bind address of the endpoint; port ``0`` picks a free port.
-    trace_buffer:
-        For long-lived hosts (the serving updater): how many root spans
-        the telemetry tracer retains (ring buffer).
     """
 
-    events: bool = False
     events_path: "str | None" = None
-    run_id: "str | None" = None
-    events_buffer: int = 4096
     profile: bool = False
-    profile_top: int = 10
     endpoint: bool = False
     endpoint_host: str = "127.0.0.1"
     endpoint_port: int = 0
-    trace_buffer: int = 256
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "events", bool(self.events))
         if self.events_path is not None:
             object.__setattr__(self, "events_path", str(self.events_path))
-            object.__setattr__(self, "events", True)
-        if self.run_id is not None:
-            object.__setattr__(self, "run_id", str(self.run_id))
-        for name in ("events_buffer", "profile_top", "trace_buffer"):
-            value = int(getattr(self, name))
-            if value < 1:
-                raise ConfigError(f"{name} must be >= 1, got {value!r}")
-            object.__setattr__(self, name, value)
         object.__setattr__(self, "profile", bool(self.profile))
         object.__setattr__(self, "endpoint", bool(self.endpoint))
         port = int(self.endpoint_port)
@@ -187,8 +160,8 @@ class ObservabilityParams:
 
     @property
     def enabled(self) -> bool:
-        """Whether any telemetry feature is switched on."""
-        return self.events or self.profile or self.endpoint
+        """Whether any switch is set (the host then keeps a tracer)."""
+        return self.events_path is not None or self.profile or self.endpoint
 
     def with_(self, **overrides: object) -> "ObservabilityParams":
         """Return a copy with the given fields replaced."""
@@ -199,20 +172,19 @@ class ObservabilityParams:
 class ResilienceParams:
     """Numerical guardrails and recovery policy for iterative solves.
 
-    Attached to :attr:`RankingParams.resilience`; when present (and any
-    guard is enabled) :func:`repro.linalg.iterate.iterate_to_fixpoint`
-    checks every iterate against these rules and raises the typed
+    Attached to :attr:`RankingParams.resilience`; when present
+    :func:`repro.linalg.iterate.iterate_to_fixpoint` checks every
+    iteration against these rules and raises the typed
     :class:`~repro.errors.ConvergenceError` subclasses on violation —
     which a :class:`~repro.resilience.FallbackChain` can then catch to
     warm-start the next solver in line.
 
+    A non-finite residual always trips the guard: a NaN or Inf anywhere
+    in an iterate makes its difference from the previous one non-finite
+    under every norm, so no separate scan of the iterate is needed.
+
     Parameters
     ----------
-    check_finite_every:
-        Run a full ``isfinite`` scan of the iterate every this many
-        iterations (``1`` = every iteration; ``0`` disables the scan —
-        a non-finite *residual* still trips the guard).  The guard keeps
-        a copy of the last finite iterate for warm-starting fallbacks.
     divergence_window:
         Raise :class:`~repro.errors.DivergenceError` after this many
         *consecutive* iterations of residual growth (``0`` disables).
@@ -235,7 +207,6 @@ class ResilienceParams:
         installed (``0`` keeps the checkpointer's own default).
     """
 
-    check_finite_every: int = 1
     divergence_window: int = 10
     stagnation_window: int = 0
     stagnation_rtol: float = 1e-3
@@ -244,8 +215,7 @@ class ResilienceParams:
     checkpoint_every: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("check_finite_every", "divergence_window",
-                     "stagnation_window", "checkpoint_every"):
+        for name in ("divergence_window", "stagnation_window", "checkpoint_every"):
             value = int(getattr(self, name))
             if value < 0:
                 raise ConfigError(f"{name} must be >= 0, got {value!r}")
@@ -262,16 +232,6 @@ class ResilienceParams:
 
             for solver in self.fallback_solvers:
                 solver_registry.validate(solver)
-
-    @property
-    def enabled(self) -> bool:
-        """Whether any per-iteration guard is active."""
-        return bool(
-            self.check_finite_every
-            or self.divergence_window
-            or self.stagnation_window
-            or self.deadline_seconds is not None
-        )
 
     def with_(self, **overrides: object) -> "ResilienceParams":
         """Return a copy with the given fields replaced."""
@@ -687,12 +647,6 @@ class RankingParams:
         paper's choice — ``"jacobi"``, ``"gauss_seidel"``, or any name
         added via :func:`repro.linalg.register_solver`).  Validated
         against the registry at construction.
-    progress:
-        Optional :class:`repro.observability.ProgressCallback` receiving
-        per-iteration solver telemetry (residuals, step timings, dangling
-        mass).  ``None`` (default) keeps the solver hot loop free of any
-        timing calls or allocations.  Excluded from equality/hash so two
-        parameter sets describing the same computation stay equal.
     resilience:
         Optional :class:`ResilienceParams` enabling per-iteration
         numerical guardrails (NaN/Inf, divergence, stagnation, deadline)
@@ -705,8 +659,9 @@ class RankingParams:
         ``None`` (default) keeps every path audit-free.
     checkpoint:
         Optional :class:`repro.resilience.SolveCheckpointer` persisting
-        periodic solve checkpoints (and resuming from them).  Like
-        ``progress``, excluded from equality/hash.
+        periodic solve checkpoints (and resuming from them).  Excluded
+        from equality/hash so two parameter sets describing the same
+        computation stay equal.
     """
 
     alpha: float = DEFAULT_ALPHA
@@ -715,9 +670,6 @@ class RankingParams:
     norm: Literal["l1", "l2", "linf"] = "l2"
     strict: bool = True
     solver: str = "power"
-    progress: "ProgressCallback | None" = field(
-        default=None, compare=False, repr=False
-    )
     resilience: "ResilienceParams | None" = None
     audit: "AuditParams | None" = None
     checkpoint: "SolveCheckpointer | None" = field(
@@ -796,18 +748,11 @@ class ThrottleParams:
 
 @dataclass(frozen=True, slots=True)
 class SpamProximityParams:
-    """Parameters of the inverse-walk spam-proximity computation (Section 5).
-
-    ``progress`` mirrors :attr:`RankingParams.progress`: an optional
-    per-iteration telemetry hook for the proximity walk.
-    """
+    """Parameters of the inverse-walk spam-proximity computation (Section 5)."""
 
     beta: float = DEFAULT_ALPHA
     tolerance: float = DEFAULT_TOLERANCE
     max_iter: int = DEFAULT_MAX_ITER
-    progress: "ProgressCallback | None" = field(
-        default=None, compare=False, repr=False
-    )
     resilience: "ResilienceParams | None" = None
     audit: "AuditParams | None" = None
     checkpoint: "SolveCheckpointer | None" = field(
@@ -839,7 +784,6 @@ class SpamProximityParams:
             alpha=self.beta,
             tolerance=self.tolerance,
             max_iter=self.max_iter,
-            progress=self.progress,
             resilience=self.resilience,
             audit=self.audit,
             checkpoint=self.checkpoint,

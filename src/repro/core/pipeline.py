@@ -15,7 +15,7 @@ fifteen-line use of it.
 
 from __future__ import annotations
 
-from contextlib import ExitStack, contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterator
@@ -41,14 +41,11 @@ from ..linalg.operator import (
 )
 from ..linalg.registry import solver_registry
 from ..logging_utils import get_logger
-from ..observability.events import EventLog, current_run_id
-from ..observability.events import emit as emit_event
 from ..observability.metrics import (
     DEFAULT_ITERATION_BUCKETS,
     get_registry,
 )
-from ..observability.profiling import Profiler, profile_block
-from ..observability.tracing import SpanRecord, Tracer
+from ..observability.tracing import SpanRecord, Tracer, current_tracer, emit
 from ..ranking.base import RankingResult
 from ..ranking.pagerank import pagerank
 from ..ranking.sourcerank import sourcerank
@@ -142,7 +139,8 @@ class PipelineResult:
 
     ``trace`` is the run's span tree (root ``"pipeline"`` with one child
     per stage in :data:`PIPELINE_STAGES`, solver spans nested below);
-    ``timings`` maps stage name to wall seconds.
+    ``timings`` maps stage name to wall seconds; ``run_id`` is the id of
+    the tracer the run was recorded on.
     """
 
     source_graph: SourceGraph
@@ -243,18 +241,10 @@ class SpamResilientPipeline:
         self.throttle = throttle or ThrottleParams()
         self.proximity = proximity or SpamProximityParams()
         self.observability = observability or ObservabilityParams()
-        self.events: EventLog | None = (
-            EventLog(
-                self.observability.events_path,
-                run_id=self.observability.run_id,
-                buffer=self.observability.events_buffer,
-            )
-            if self.observability.events
-            else None
-        )
-        self.profiler: Profiler | None = (
-            Profiler(top=self.observability.profile_top)
-            if self.observability.profile
+        obs = self.observability
+        self.tracer: Tracer | None = (
+            Tracer(events_path=obs.events_path, profile=obs.profile)
+            if obs.enabled
             else None
         )
         if weighting not in ("consensus", "uniform"):
@@ -326,23 +316,22 @@ class SpamResilientPipeline:
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
+    @staticmethod
     @contextmanager
-    def _stage(self, tracer: Tracer, name: str) -> Iterator[SpanRecord]:
-        """One pipeline stage: trace span + event pair + profile block.
+    def _stage(tracer: Tracer, name: str) -> Iterator[SpanRecord]:
+        """One pipeline stage: a span between ``stage_start``/``stage_end``.
 
-        ``stage_start``/``stage_end`` land on whatever event log is
-        ambient (this pipeline's own, or one activated by a caller such
-        as the serving updater); a stage that raises leaves a
-        ``stage_failed`` event instead of ``stage_end``.
+        A stage that raises leaves a ``stage_failed`` event instead of
+        ``stage_end``.
         """
-        emit_event("stage_start", stage=name)
+        tracer.emit("stage_start", stage=name)
         try:
-            with tracer.span(name) as sp, profile_block(f"stage:{name}"):
+            with tracer.span(name) as sp:
                 yield sp
         except BaseException as exc:
-            emit_event("stage_failed", stage=name, error=type(exc).__name__)
+            tracer.emit("stage_failed", stage=name, error=type(exc).__name__)
             raise
-        emit_event("stage_end", stage=name, seconds=sp.duration)
+        tracer.emit("stage_end", stage=name, seconds=sp.duration)
 
     # ------------------------------------------------------------------
     # Checkpoint plumbing
@@ -466,28 +455,25 @@ class SpamResilientPipeline:
         Notes
         -----
         Every run is traced: the returned
-        :attr:`PipelineResult.trace` holds a ``"pipeline"`` root span with
+        :attr:`PipelineResult.trace` holds a ``"pipeline"`` span with
         one child per stage (``assignment``, ``source_graph``,
         ``proximity``, ``kappa``, ``rank``) and solver spans nested
         beneath them, and stage timings plus solver iteration counts are
         recorded in the global
-        :class:`~repro.observability.metrics.MetricsRegistry`.
+        :class:`~repro.observability.metrics.MetricsRegistry`.  The span
+        opens under the ambient tracer when one is active (a caller's),
+        else under this pipeline's own tracer, else under a fresh one.
         """
-        tracer = Tracer()
-        with ExitStack() as stack:
-            if self.events is not None:
-                stack.enter_context(self.events.activate())
-            if self.profiler is not None:
-                stack.enter_context(self.profiler.activate())
-            run_id = current_run_id()
-            emit_event(
+        tracer = current_tracer() or self.tracer or Tracer()
+        with tracer.activate():
+            tracer.emit(
                 "pipeline_start",
                 pages=int(graph.n_nodes),
                 sources=int(assignment.n_sources),
                 weighting=self.weighting,
                 solver=self.ranking.solver,
             )
-            with tracer.activate(), tracer.span("pipeline") as root:
+            with tracer.span("pipeline") as root:
                 with self._stage(tracer, "assignment") as sp:
                     seeds = None
                     if spam_seeds is not None:
@@ -594,7 +580,7 @@ class SpamResilientPipeline:
                         )
             timings = {child.name: child.duration for child in root.children}
             self._record_run(root, timings, proximity, scores)
-            emit_event(
+            tracer.emit(
                 "pipeline_end",
                 seconds=root.duration,
                 converged=bool(scores.convergence.converged),
@@ -607,7 +593,7 @@ class SpamResilientPipeline:
             scores=scores,
             trace=root,
             timings=timings,
-            run_id=run_id,
+            run_id=tracer.run_id,
         )
 
     @staticmethod
@@ -697,10 +683,11 @@ class SpamResilientPipeline:
             throttled = ThrottledOperator(
                 base, kappa, full_throttle=self.full_throttle
             )
-            with ExitStack() as stack:
-                if self.events is not None:
-                    stack.enter_context(self.events.activate())
-                emit_event(
+            # No tracer is started here: with none ambient and none of
+            # this pipeline's own, the solve runs untraced.
+            tracer = current_tracer() or self.tracer
+            with nullcontext() if tracer is None else tracer.activate():
+                emit(
                     "pipeline_store_rank",
                     sources=int(base.n),
                     blocks=int(base.store.n_blocks),

@@ -7,15 +7,16 @@ the configured norm, record telemetry, stop at tolerance or ``max_iter``.
 :func:`iterate_to_fixpoint` is that loop, written once.  Solvers supply
 only their step function; the engine owns
 
-* the ``solve:<label>`` tracing span (with per-solve iteration count);
-* the :class:`~repro.observability.progress.ProgressCallback` protocol
-  (solve shape, per-iteration residual/step-time/dangling-mass, final
-  :class:`ConvergenceInfo`) — all zero-cost when ``params.progress`` is
-  ``None``;
+* the ``solve:<label>`` span, which carries the solve's shape (solver,
+  kernel, order, dangling rows, stopping rule) and outcome (iterations,
+  convergence, final residual, residual curve) and — under a profiling
+  tracer only — per-iteration step seconds and dangling mass; plus the
+  ``solve_start``/``solve_end``/``solve_failed`` events.  All of it costs
+  nothing when no tracer is active;
 * the residual history and the strict-raise / lenient-warn convergence
   contract;
-* the resilience hooks — when ``params.resilience`` enables them, a
-  :class:`~repro.resilience.guards.SolveGuard` checks every iterate for
+* the resilience hooks — when ``params.resilience`` is set, a
+  :class:`~repro.resilience.guards.SolveGuard` checks every residual for
   NaN/Inf, sustained divergence, stagnation, and wall-clock deadline
   (raising the typed :class:`~repro.errors.ConvergenceError` subclasses);
   when ``params.checkpoint`` carries a
@@ -38,9 +39,7 @@ import numpy as np
 
 from ..errors import ConfigError, ConvergenceError
 from ..logging_utils import get_logger
-from ..observability.events import emit as emit_event
-from ..observability.profiling import profile_block
-from ..observability.tracing import span
+from ..observability.tracing import current_tracer, emit, span
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from ..config import RankingParams
@@ -129,19 +128,19 @@ def iterate_to_fixpoint(
         Starting iterate; not mutated.
     params:
         Stopping rule (``tolerance``, ``max_iter``, ``norm``, ``strict``)
-        plus the optional ``progress`` telemetry hook.
+        plus the optional resilience, audit and checkpoint hooks.
     solver:
-        Solver name for spans/telemetry (``"power"``, ``"jacobi"``, ...).
+        Solver name for the solve span (``"power"``, ``"jacobi"``, ...).
     label:
         Human-readable solve tag; falls back to ``solver``.
     kernel:
-        The operator's telemetry tag (``scipy``/``blocked``), forwarded
-        to spans/telemetry when set (the linear solvers pass ``None`` —
-        they iterate on a materialized matrix, not an operator).
+        The operator's telemetry tag (``scipy``/``blocked``), recorded on
+        the solve span when set (the linear solvers pass ``None`` — they
+        iterate on a materialized matrix, not an operator).
     dangling_mask:
-        Boolean mask of dangling rows.  When given, the dangling-row
-        count is reported at solve start and the current dangling mass on
-        every iteration (power-solver telemetry); ``None`` omits both.
+        Boolean mask of dangling rows.  When given, the solve span
+        records the dangling-row count and, under a profiling tracer,
+        the dangling mass after every iteration; ``None`` omits both.
     callback:
         Optional per-iteration hook ``(iteration, residual)``.
     span_meta:
@@ -161,7 +160,6 @@ def iterate_to_fixpoint(
         error carries the last finite iterate on ``last_iterate`` so
         fallback chains can warm-start.
     """
-    progress = params.progress
     tag = label or solver
     n = int(np.asarray(x0).size)
     meta: dict[str, object] = dict(span_meta or {})
@@ -169,7 +167,7 @@ def iterate_to_fixpoint(
         meta.setdefault("kernel", kernel)
     resilience = getattr(params, "resilience", None)
     guard = None
-    if resilience is not None and resilience.enabled:
+    if resilience is not None:
         # Imported lazily: repro.resilience sits beside this layer and
         # importing it at module scope would cycle through the registry.
         from ..resilience.guards import SolveGuard
@@ -206,9 +204,9 @@ def iterate_to_fixpoint(
             x0 = state.x.copy()
             start_iteration = min(int(state.iteration), params.max_iter - 1)
             meta.setdefault("resumed_from", start_iteration)
-    # Event + profile hooks are per-solve (never per-iteration) and free
-    # when no ambient log/profiler is active.
-    emit_event(
+    # Events are per-solve (never per-iteration) and free when no tracer
+    # is active.
+    emit(
         "solve_start",
         label=tag,
         solver=solver,
@@ -224,11 +222,9 @@ def iterate_to_fixpoint(
             params,
             solver=solver,
             tag=tag,
-            kernel=kernel,
             dangling_mask=dangling_mask,
             callback=callback,
             meta=meta,
-            progress=progress,
             guard=guard,
             mass_auditor=mass_auditor,
             audit=audit,
@@ -241,7 +237,7 @@ def iterate_to_fixpoint(
         # Guard trips (NaN, divergence, stagnation, deadline) and strict
         # non-convergence leave through here; stamp the failure so the
         # event log shows *why* a fallback or degradation followed.
-        emit_event(
+        emit(
             "solve_failed",
             label=tag,
             solver=solver,
@@ -258,11 +254,9 @@ def _iterate_inner(
     *,
     solver,
     tag,
-    kernel,
     dangling_mask,
     callback,
     meta,
-    progress,
     guard,
     mass_auditor,
     audit,
@@ -271,63 +265,69 @@ def _iterate_inner(
     start_iteration,
     n,
 ):
-    track_dangling = 0
-    with span(f"solve:{tag}", solver=solver, n=n, **meta) as trace, \
-            profile_block(f"solve:{tag}", solver=solver):
-        if progress is not None:
-            start_kwargs: dict[str, object] = {}
-            if kernel is not None:
-                start_kwargs["kernel"] = kernel
-            if dangling_mask is not None:
-                track_dangling = int(dangling_mask.sum())
-                start_kwargs["n_dangling"] = track_dangling
-            progress.on_solve_start(
-                tag,
-                solver=solver,
-                n=n,
-                tolerance=params.tolerance,
-                max_iter=params.max_iter,
-                **start_kwargs,
-            )
+    tracer = current_tracer()
+    with span(
+        f"solve:{tag}",
+        solver=solver,
+        n=n,
+        tolerance=params.tolerance,
+        max_iter=params.max_iter,
+        **meta,
+    ) as record:
+        # Per-iteration series cost a clock read (and a masked sum) per
+        # step, so only a profiling tracer records them.
+        series = tracer is not None and tracer.profile
+        step_seconds: list[float] = []
+        dangling_mass: list[float] = []
+        track_dangling = False
+        if record is not None and dangling_mask is not None:
+            n_dangling = int(dangling_mask.sum())
+            record.meta["n_dangling"] = n_dangling
+            track_dangling = series and n_dangling > 0
         x = x0
         history: list[float] = []
         residual = np.inf
         iterations = start_iteration
-        for iterations in range(start_iteration + 1, params.max_iter + 1):
-            if progress is not None:
-                t0 = time.perf_counter()
-            x_next = step(x)
-            residual = residual_norm(x_next - x, params.norm)
-            history.append(residual)
-            x_prev, x = x, x_next
-            if callback is not None:
-                callback(iterations, residual)
-            if progress is not None:
-                progress.on_iteration(
-                    tag,
-                    iterations,
-                    residual,
-                    step_seconds=time.perf_counter() - t0,
-                    dangling_mass=(
-                        float(x[dangling_mask].sum()) if track_dangling else None
-                    ),
+        try:
+            for iterations in range(start_iteration + 1, params.max_iter + 1):
+                if series:
+                    t0 = time.perf_counter()
+                x_next = step(x)
+                residual = residual_norm(x_next - x, params.norm)
+                history.append(residual)
+                x_prev, x = x, x_next
+                if series:
+                    step_seconds.append(time.perf_counter() - t0)
+                    if track_dangling:
+                        dangling_mass.append(float(x[dangling_mask].sum()))
+                if callback is not None:
+                    callback(iterations, residual)
+                if mass_auditor is not None and iterations % audit.check_every == 0:
+                    mass_auditor.check(iterations, x)
+                if residual < params.tolerance:
+                    break
+                if guard is not None:
+                    guard.check(iterations, x, residual, x_prev)
+                if not np.isfinite(residual):
+                    # No later iterate can recover; keep the last finite one,
+                    # and never checkpoint a non-finite one.
+                    x = x_prev
+                    break
+                if ckpt is not None and iterations % ckpt_every == 0:
+                    ckpt.save(tag, x, iterations, residual)
+        finally:
+            converged = bool(residual < params.tolerance)
+            if record is not None:
+                record.meta.update(
+                    iterations=iterations,
+                    converged=converged,
+                    final_residual=float(residual),
+                    residuals=history,
                 )
-            if mass_auditor is not None and iterations % audit.check_every == 0:
-                mass_auditor.check(iterations, x)
-            if residual < params.tolerance:
-                break
-            if guard is not None:
-                guard.check(iterations, x, residual)
-            if not np.isfinite(residual):
-                # No later iterate can recover; keep the last finite one,
-                # and never checkpoint a non-finite one.
-                x = x_prev
-                break
-            if ckpt is not None and iterations % ckpt_every == 0:
-                ckpt.save(tag, x, iterations, residual)
-        converged = residual < params.tolerance
-        if trace is not None:
-            trace.meta["iterations"] = iterations
+                if series:
+                    record.meta["step_seconds"] = step_seconds
+                    if track_dangling:
+                        record.meta["dangling_mass"] = dangling_mass
     if ckpt is not None and converged:
         ckpt.save(tag, x, iterations, residual)
     info = ConvergenceInfo(
@@ -337,9 +337,7 @@ def _iterate_inner(
         tolerance=params.tolerance,
         residual_history=tuple(history),
     )
-    if progress is not None:
-        progress.on_solve_end(tag, info)
-    emit_event(
+    emit(
         "solve_end",
         label=tag,
         solver=solver,

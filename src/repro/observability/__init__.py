@@ -1,4 +1,4 @@
-"""Observability: metrics, tracing, events, profiling, live endpoint.
+"""Observability: metrics, the span tracer, live endpoint, perf ledger.
 
 Cooperating layers, all optional and all zero-cost when unused:
 
@@ -6,25 +6,19 @@ Cooperating layers, all optional and all zero-cost when unused:
   :class:`MetricsRegistry` of counters / gauges / histograms with JSON and
   Prometheus-text exposition.  The pipeline records stage timings and
   solver iteration counts here at *stage* granularity.
-* :mod:`~repro.observability.tracing` — nestable :func:`span` context
-  managers building a per-run trace tree
-  (:class:`~repro.core.pipeline.SpamResilientPipeline` traces its five
-  stages; solvers attach nested spans when a tracer is active).  Safe to
-  share across threads: each thread nests independently.
-* :mod:`~repro.observability.events` — the correlated JSON-lines event
-  log: one ``run_id`` stitches a run together from admission to snapshot
-  publish, across pipeline stages, solves, fallbacks, checkpoints, and
-  the serving updater.
-* :mod:`~repro.observability.profiling` — opt-in per-stage cProfile and
-  wall/CPU accounting behind ``ObservabilityParams(profile=True)`` /
-  ``--profile``.
+* :mod:`~repro.observability.tracing` — the one telemetry primitive.  A
+  :class:`Tracer` owns a run id, a tree of :func:`span` records carrying
+  attributes and point events, a ring of the events that :func:`emit`
+  records (mirrored to a JSON-lines file when asked), and the profile
+  switch (wall/CPU seconds on every span, cProfile on the outermost span
+  per thread).  Each solver's ``solve:<label>`` span carries its
+  convergence record and residual curve.  A host (the pipeline, the
+  serving service, the CLI) builds one tracer and activates it once.
 * :mod:`~repro.observability.endpoint` — :class:`TelemetryServer`, the
   live scrape endpoint (``/metrics``, ``/health``, ``/trace``,
   ``/events``) on a stdlib HTTP daemon thread.
-* :mod:`~repro.observability.progress` — the :class:`ProgressCallback`
-  per-iteration hook threaded through ``RankingParams.progress``, with
-  :class:`SolverTelemetry` as the standard collector of residual curves,
-  matvec timings, the operator's kernel tag, and dangling-mass stats.
+* :mod:`~repro.observability.export` — the ``--metrics-out`` document
+  built from the registry and one tracer.
 * :mod:`~repro.observability.ledger` — the perf-trajectory ledger:
   committed benchmark results folded into one schema-validated trend
   table with a CI regression gate (``repro ledger compare``).
@@ -33,14 +27,6 @@ See the "Observability" section of ``docs/architecture.md``.
 """
 
 from .endpoint import TelemetryServer
-from .events import (
-    EventLog,
-    current_event_log,
-    current_run_id,
-    emit,
-    new_run_id,
-    read_events,
-)
 from .export import build_metrics_payload, to_chrome_trace, write_metrics
 from .metrics import (
     DEFAULT_ITERATION_BUCKETS,
@@ -53,9 +39,16 @@ from .metrics import (
     get_registry,
     reset_registry,
 )
-from .profiling import ProfileRecord, Profiler, current_profiler, profile_block
-from .progress import ProgressCallback, SolverRun, SolverTelemetry
-from .tracing import SpanRecord, Tracer, current_tracer, format_tree, span
+from .tracing import (
+    SpanRecord,
+    Tracer,
+    current_tracer,
+    emit,
+    format_tree,
+    new_run_id,
+    read_events,
+    span,
+)
 
 __all__ = [
     # metrics
@@ -72,26 +65,13 @@ __all__ = [
     "Tracer",
     "SpanRecord",
     "span",
-    "current_tracer",
-    "format_tree",
-    # events
-    "EventLog",
-    "new_run_id",
     "emit",
-    "current_event_log",
-    "current_run_id",
+    "current_tracer",
+    "new_run_id",
     "read_events",
-    # profiling
-    "Profiler",
-    "ProfileRecord",
-    "profile_block",
-    "current_profiler",
+    "format_tree",
     # endpoint
     "TelemetryServer",
-    # solver telemetry
-    "ProgressCallback",
-    "SolverRun",
-    "SolverTelemetry",
     # export
     "build_metrics_payload",
     "write_metrics",

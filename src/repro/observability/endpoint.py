@@ -9,16 +9,18 @@ instead of the dump-at-exit model of
 * ``GET /health`` — a JSON health document from the host's ``health_fn``
   (for :class:`~repro.serving.RankingService`: degradation-ladder state,
   breaker detail, staleness, read-latency p50/p99), stamped with the
-  event log's ``run_id`` when one is attached;
+  tracer's ``run_id`` when one is attached;
 * ``GET /trace`` — recent spans of the attached tracer as Chrome
   trace-event JSON (load it in ``chrome://tracing`` / Perfetto);
-* ``GET /events?limit=N`` — the tail of the attached event log.
+* ``GET /events?limit=N`` — the newest ``N`` events of the attached
+  tracer (all of its ring without ``limit``; ``N`` must be a
+  non-negative integer, anything else answers 400).
 
 The server is a :class:`~http.server.ThreadingHTTPServer` on a daemon
 thread: scrapes run concurrently with each other and with the host's
 work, and a hung scraper cannot block the process.  Handlers only ever
-*read* snapshots (the registry, tracer, and event log are all internally
-locked), so scraping is safe in every serving degradation state.
+*read* snapshots (the registry and the tracer are internally locked), so
+scraping is safe in every serving degradation state.
 
 Bind with ``port=0`` (the default) to let the OS pick a free port; the
 bound address is available as :attr:`TelemetryServer.address` after
@@ -35,10 +37,9 @@ from urllib.parse import parse_qs, urlparse
 
 from ..errors import ObservabilityError
 from ..logging_utils import get_logger
-from .events import EventLog
 from .export import to_chrome_trace
 from .metrics import MetricsRegistry, get_registry
-from .tracing import Tracer
+from .tracing import Tracer, _json_default
 
 __all__ = ["TelemetryServer"]
 
@@ -58,11 +59,9 @@ class TelemetryServer:
         Zero-argument callable returning a JSON-ready health dict; when
         omitted ``/health`` reports ``{"ready": true}``.
     tracer:
-        Tracer whose recent spans ``/trace`` exports; omitted ⇒ an empty
-        trace document.
-    event_log:
-        Event log whose tail ``/events`` serves and whose ``run_id``
-        stamps ``/health``.
+        Tracer whose recent spans ``/trace`` exports, whose events
+        ``/events`` serves and whose ``run_id`` stamps ``/health``;
+        omitted ⇒ an empty trace and no events.
     host, port:
         Bind address; ``port=0`` picks a free port.
     """
@@ -73,14 +72,12 @@ class TelemetryServer:
         registry: MetricsRegistry | None = None,
         health_fn: Callable[[], dict] | None = None,
         tracer: Tracer | None = None,
-        event_log: EventLog | None = None,
         host: str = "127.0.0.1",
         port: int = 0,
     ) -> None:
         self.registry = registry
         self.health_fn = health_fn
         self.tracer = tracer
-        self.event_log = event_log
         self._host = host
         self._port = int(port)
         self._server: ThreadingHTTPServer | None = None
@@ -99,9 +96,9 @@ class TelemetryServer:
         payload = dict(self.health_fn()) if self.health_fn is not None else {
             "ready": True
         }
-        if self.event_log is not None:
-            payload.setdefault("run_id", self.event_log.run_id)
-            payload.setdefault("events_emitted", len(self.event_log))
+        if self.tracer is not None:
+            payload.setdefault("run_id", self.tracer.run_id)
+            payload.setdefault("events_emitted", self.tracer.events_emitted)
         return payload
 
     def trace_payload(self) -> dict:
@@ -111,10 +108,10 @@ class TelemetryServer:
         return to_chrome_trace(self.tracer)
 
     def events_payload(self, limit: int | None = None) -> list[dict]:
-        """The ``/events`` tail (empty without an attached log)."""
-        if self.event_log is None:
+        """The ``/events`` tail (empty without an attached tracer)."""
+        if self.tracer is None:
             return []
-        return self.event_log.events(limit=limit)
+        return self.tracer.events(limit=limit)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -161,10 +158,11 @@ class TelemetryServer:
                             body = _json_bytes(endpoint.trace_payload())
                             content_type = "application/json"
                         elif route == "/events":
-                            query = parse_qs(parsed.query)
-                            limit = None
-                            if "limit" in query:
-                                limit = int(query["limit"][0])
+                            try:
+                                limit = _parse_limit(parsed.query)
+                            except ValueError as exc:
+                                self.send_error(400, str(exc))
+                                return
                             body = _json_bytes(endpoint.events_payload(limit))
                             content_type = "application/json"
                         else:
@@ -222,15 +220,16 @@ class TelemetryServer:
         self.stop()
 
 
+def _parse_limit(query: str) -> int | None:
+    """The ``/events`` ``limit`` (``None`` when absent); rejects non-integers."""
+    values = parse_qs(query, keep_blank_values=True).get("limit")
+    if values is None:
+        return None
+    text = values[0]
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"limit must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _json_bytes(payload: object) -> bytes:
     return json.dumps(payload, default=_json_default).encode("utf-8")
-
-
-def _json_default(value: object) -> object:
-    item = getattr(value, "item", None)
-    if callable(item):
-        try:
-            return item()
-        except (TypeError, ValueError):
-            pass
-    return repr(value)

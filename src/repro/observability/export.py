@@ -1,21 +1,19 @@
 """Assemble and write the combined telemetry payload.
 
-The CLI's ``--metrics-out PATH`` flag (on ``rank`` and ``figures``) dumps
-one JSON document containing the telemetry sources side by side:
+The CLI's ``--metrics-out PATH`` flag (on ``rank``, ``figures`` and
+``serve``) dumps one JSON document built from the metrics registry and
+one :class:`~repro.observability.tracing.Tracer`:
 
 * ``metrics`` — the :class:`~repro.observability.metrics.MetricsRegistry`
   exposition (counters, gauges, histograms);
-* ``trace`` — the per-run span tree (pipeline stages with nested solver
-  spans);
-* ``solvers`` — per-solve :class:`~repro.observability.progress.SolverRun`
-  records with full residual curves and step timings;
-* ``events`` — the run's correlated event log tail
-  (:class:`~repro.observability.events.EventLog`);
-* ``profiles`` — per-stage :class:`~repro.observability.profiling.Profiler`
-  records when profiling was enabled.
+* ``trace`` — the span tree (pipeline stages with nested solver spans);
+* ``solvers`` — one run per ``solve:<label>`` span, with its residual
+  curve (and, under a profiling tracer, per-iteration step timings);
+* ``events`` — the tracer's ring of recent events;
+* ``meta`` — caller-supplied keys plus the tracer's ``run_id``.
 
 ``PATH`` ending in ``.prom`` selects the Prometheus text format instead
-(registry only — the other sources have no Prometheus analogue).
+(registry only — spans and events have no Prometheus analogue).
 
 :func:`to_chrome_trace` renders any span tree in the Chrome trace-event
 format (the ``/trace`` scrape endpoint serves it live): open
@@ -29,25 +27,59 @@ import os
 from pathlib import Path
 from typing import Iterable
 
-from .events import EventLog
 from .metrics import MetricsRegistry, get_registry
-from .profiling import Profiler
-from .progress import SolverTelemetry
-from .tracing import SpanRecord, Tracer
+from .tracing import SpanRecord, Tracer, scalar_attrs
 
 __all__ = ["build_metrics_payload", "write_metrics", "to_chrome_trace"]
 
+#: Span attributes the engine records on every ``solve:<label>`` span, in
+#: the order a solver run lists them.
+_RUN_KEYS = (
+    "solver",
+    "kernel",
+    "n",
+    "n_dangling",
+    "tolerance",
+    "max_iter",
+    "iterations",
+    "converged",
+    "final_residual",
+    "residuals",
+    "step_seconds",
+    "dangling_mass",
+)
+
+
+def _solver_runs(spans: Iterable[SpanRecord]) -> dict[str, object]:
+    """The ``solvers`` section: one run per ``solve:<label>`` span.
+
+    ``iteration_counts`` sums the iterations of every run per label.
+    """
+    runs: list[dict[str, object]] = []
+    counts: dict[str, int] = {}
+    for record in spans:
+        if not record.name.startswith("solve:"):
+            continue
+        label = record.name[len("solve:"):]
+        run: dict[str, object] = {"label": label, "wall_seconds": record.duration}
+        run.update((k, record.meta[k]) for k in _RUN_KEYS if k in record.meta)
+        runs.append(run)
+        counts[label] = counts.get(label, 0) + int(run.get("iterations", 0))
+    return {"runs": runs, "iteration_counts": counts}
+
 
 def build_metrics_payload(
+    tracer: Tracer | None = None,
     *,
+    root: SpanRecord | None = None,
     registry: MetricsRegistry | None = None,
-    trace: Tracer | SpanRecord | None = None,
-    telemetry: SolverTelemetry | None = None,
-    events: EventLog | None = None,
-    profiler: Profiler | None = None,
     meta: dict[str, object] | None = None,
 ) -> dict[str, object]:
-    """The combined JSON-ready telemetry document."""
+    """The combined JSON-ready telemetry document.
+
+    ``root`` narrows ``trace`` and ``solvers`` to one span of the tracer
+    (say, one pipeline run); the default exports every root.
+    """
     from .. import __version__
 
     payload: dict[str, object] = {
@@ -55,26 +87,21 @@ def build_metrics_payload(
         "meta": dict(meta or {}),
         "metrics": (registry or get_registry()).as_dict(),
     }
-    if trace is not None:
+    if tracer is not None:
+        trace: Tracer | SpanRecord = tracer if root is None else root
+        payload["meta"].setdefault("run_id", tracer.run_id)  # type: ignore[union-attr]
         payload["trace"] = trace.as_dict()
-    if telemetry is not None:
-        payload["solvers"] = telemetry.as_dict()
-    if events is not None:
-        payload["meta"].setdefault("run_id", events.run_id)  # type: ignore[union-attr]
-        payload["events"] = events.events()
-    if profiler is not None:
-        payload["profiles"] = profiler.as_dict()["profiles"]
+        payload["solvers"] = _solver_runs(trace.walk())
+        payload["events"] = tracer.events()
     return payload
 
 
 def write_metrics(
     path: str | Path,
+    tracer: Tracer | None = None,
     *,
+    root: SpanRecord | None = None,
     registry: MetricsRegistry | None = None,
-    trace: Tracer | SpanRecord | None = None,
-    telemetry: SolverTelemetry | None = None,
-    events: EventLog | None = None,
-    profiler: Profiler | None = None,
     meta: dict[str, object] | None = None,
 ) -> Path:
     """Write telemetry to ``path`` (JSON, or Prometheus text for ``.prom``).
@@ -86,27 +113,12 @@ def write_metrics(
         text = (registry or get_registry()).to_prometheus()
     else:
         payload = build_metrics_payload(
-            registry=registry,
-            trace=trace,
-            telemetry=telemetry,
-            events=events,
-            profiler=profiler,
-            meta=meta,
+            tracer, root=root, registry=registry, meta=meta
         )
         text = json.dumps(payload, indent=2, sort_keys=True, default=repr) + "\n"
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text, encoding="utf-8")
     return path
-
-
-def _chrome_args(meta: dict[str, object]) -> dict[str, object]:
-    out: dict[str, object] = {}
-    for key, value in meta.items():
-        if isinstance(value, (str, int, float, bool)) or value is None:
-            out[key] = value
-        else:
-            out[key] = repr(value)
-    return out
 
 
 def to_chrome_trace(
@@ -117,11 +129,11 @@ def to_chrome_trace(
     """Render spans as a Chrome trace-event document.
 
     Every span becomes one complete (``"ph": "X"``) event with
-    microsecond ``ts``/``dur`` relative to the tracer epoch; the span's
-    opening thread id becomes the trace ``tid`` so concurrent threads
-    (e.g. the serving updater vs. readers) land on separate tracks.
-    Still-open spans (``duration < 0``) export with ``dur`` 0 and an
-    ``args.open`` marker.
+    microsecond ``ts``/``dur`` relative to the tracer epoch and the
+    span's scalar attributes as ``args``; the span's opening thread id
+    becomes the trace ``tid`` so concurrent threads (e.g. the serving
+    updater vs. readers) land on separate tracks.  Still-open spans
+    (``duration < 0``) export with ``dur`` 0 and an ``args.open`` marker.
     """
     if isinstance(trace, Tracer):
         roots: Iterable[SpanRecord] = trace.roots
@@ -133,7 +145,7 @@ def to_chrome_trace(
     trace_events: list[dict[str, object]] = []
     for root in roots:
         for record in root.walk():
-            args = _chrome_args(record.meta)
+            args = scalar_attrs(record.meta)
             duration = record.duration
             if duration < 0:
                 duration = 0.0

@@ -13,9 +13,9 @@ via :func:`get_registry`; hosts that want isolation (tests, benchmarks)
 can swap it with :func:`reset_registry` or instantiate their own.
 
 All updates are thread-safe.  Metric updates happen at *stage* granularity
-(a handful per pipeline run), never per solver iteration — the per-iteration
-path is covered by :mod:`repro.observability.progress` and costs nothing
-unless a callback is installed.
+(a handful per pipeline run), never per solver iteration — per-iteration
+series live on the solve spans of :mod:`repro.observability.tracing` and
+cost nothing unless a profiling tracer is active.
 
 Examples
 --------

@@ -33,7 +33,7 @@ import numpy as np
 from ..container import read_container, remove, write_container
 from ..errors import CodecError
 from ..logging_utils import get_logger
-from ..observability.events import emit as emit_event
+from ..observability.tracing import emit as emit_event
 from ..observability.metrics import get_registry
 
 __all__ = [

@@ -25,7 +25,7 @@ import numpy as np
 from ..errors import ConfigError, ConvergenceError
 from ..linalg.registry import solver_registry
 from ..logging_utils import get_logger
-from ..observability.events import emit as emit_event
+from ..observability.tracing import emit as emit_event
 from ..observability.metrics import get_registry
 
 __all__ = ["SolveAttempt", "FallbackChain", "record_fallback"]

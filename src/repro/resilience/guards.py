@@ -7,8 +7,10 @@ A :class:`SolveGuard` is instantiated by
 runs once per iteration, after the residual is measured.  It watches for
 four distinct ways a long fixed-point solve goes wrong:
 
-* **non-finite iterates** — a NaN or Inf anywhere in the iterate (or a
-  non-finite residual), e.g. from a corrupted matvec buffer;
+* **non-finite iterates** — a NaN or Inf anywhere in the iterate, e.g.
+  from a corrupted matvec buffer.  It always shows as a non-finite
+  residual (the difference of a non-finite iterate from a finite one is
+  non-finite under every norm), so the residual is all the guard reads;
 * **divergence** — the residual *growing* for a sustained run of
   iterations, the signature of an unstable splitting (Jacobi/Gauss–Seidel
   on a matrix whose iteration operator has spectral radius ≥ 1);
@@ -17,8 +19,9 @@ four distinct ways a long fixed-point solve goes wrong:
 * **deadline** — a wall-clock budget for the whole solve.
 
 Each trip raises the matching typed subclass of
-:class:`~repro.errors.ConvergenceError` with the *last finite iterate*
-attached (``err.last_iterate``), so a
+:class:`~repro.errors.ConvergenceError` with a copy of the engine's *last
+finite iterate* attached (``err.last_iterate``): the previous iterate for
+a non-finite residual, the current one for the other trips.  So a
 :class:`~repro.resilience.fallback.FallbackChain` can warm-start the next
 solver from wherever the failed one got to.  Every trip is also counted
 in the global metrics registry under ``repro_guard_trips_total{kind=...}``.
@@ -59,7 +62,7 @@ class SolveGuard:
     """Per-solve watchdog evaluating the configured guardrails.
 
     One instance guards one solve; it is stateful (residual window,
-    last-finite-iterate copy, start time) and not reusable across solves.
+    start time) and not reusable across solves.
 
     Parameters
     ----------
@@ -82,7 +85,6 @@ class SolveGuard:
         "_growth_run",
         "_prev_residual",
         "_window",
-        "_last_finite",
     )
 
     def __init__(
@@ -101,24 +103,31 @@ class SolveGuard:
         self._growth_run = 0
         self._prev_residual = np.inf
         self._window: list[float] = []
-        self._last_finite: np.ndarray | None = None
 
-    @property
-    def last_finite(self) -> np.ndarray | None:
-        """Copy of the most recent iterate that passed the finite scan."""
-        return self._last_finite
-
-    def _raise(self, err) -> None:
-        err.last_iterate = self._last_finite
+    @staticmethod
+    def _raise(err, iterate: np.ndarray | None) -> None:
+        if iterate is not None and np.isfinite(iterate).all():
+            err.last_iterate = np.array(iterate, dtype=np.float64, copy=True)
         raise err
 
-    def check(self, iteration: int, x: np.ndarray, residual: float) -> None:
+    def check(
+        self,
+        iteration: int,
+        x: np.ndarray,
+        residual: float,
+        previous: np.ndarray | None = None,
+    ) -> None:
         """Evaluate all enabled guards against one iteration's outcome.
+
+        ``x`` is the iterate this iteration produced and ``previous`` the
+        one it was computed from.  A NaN trip's error carries a copy of
+        ``previous`` (the engine's last finite iterate), any other trip's
+        a copy of ``x``.
 
         Raises
         ------
         NumericalError
-            Non-finite residual, or non-finite iterate on a scan step.
+            Non-finite residual.
         DivergenceError
             ``divergence_window`` consecutive residual increases.
         StagnationError
@@ -129,23 +138,13 @@ class SolveGuard:
         """
         p = self._params
 
-        # --- non-finite iterate / residual ---------------------------------
+        # --- non-finite iterate (seen through its residual) ----------------
         if not np.isfinite(residual):
             record_guard_trip("nan", self._label)
             self._raise(
-                NumericalError(iteration, residual, self._tolerance, what="residual")
+                NumericalError(iteration, residual, self._tolerance, what="residual"),
+                previous,
             )
-        if p.check_finite_every and iteration % p.check_finite_every == 0:
-            if not np.isfinite(x).all():
-                record_guard_trip("nan", self._label)
-                self._raise(
-                    NumericalError(
-                        iteration, residual, self._tolerance, what="iterate"
-                    )
-                )
-            # A copy, so the warm start survives whatever the solver's
-            # step function later does to its iterate.
-            self._last_finite = np.array(x, dtype=np.float64, copy=True)
 
         # --- divergence -----------------------------------------------------
         if p.divergence_window:
@@ -159,7 +158,8 @@ class SolveGuard:
                             residual,
                             self._tolerance,
                             window=self._growth_run,
-                        )
+                        ),
+                        x,
                     )
             else:
                 self._growth_run = 0
@@ -182,7 +182,8 @@ class SolveGuard:
                             self._tolerance,
                             window=p.stagnation_window,
                             improvement=improvement,
-                        )
+                        ),
+                        x,
                     )
 
         # --- wall-clock deadline -------------------------------------------
@@ -197,5 +198,6 @@ class SolveGuard:
                         self._tolerance,
                         deadline_seconds=p.deadline_seconds,
                         elapsed_seconds=elapsed,
-                    )
+                    ),
+                    x,
                 )

@@ -50,10 +50,10 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from contextlib import ExitStack, contextmanager
+from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -67,9 +67,7 @@ from ..errors import AdmissionError, ServingError, ThrottleError
 from ..graph.pagegraph import PageGraph
 from ..logging_utils import get_logger
 from ..observability.endpoint import TelemetryServer
-from ..observability.events import EventLog
 from ..observability.metrics import get_registry
-from ..observability.profiling import Profiler, profile_block
 from ..observability.tracing import Tracer, span
 from ..ranking.incremental import IncrementalSourceRank
 from ..ranking.sourcerank import sourcerank
@@ -222,20 +220,12 @@ class RankingService:
         self._consecutive_failures = 0
         self._thread: threading.Thread | None = None
         self._stop_event = threading.Event()
-        # --- telemetry v2: correlated events, tracing, live endpoint ---
+        # --- telemetry: one tracer (spans, events, run id), live endpoint ---
         obs = self.observability
-        self.events: EventLog | None = (
-            EventLog(
-                obs.events_path, run_id=obs.run_id, buffer=obs.events_buffer
-            )
-            if obs.events
-            else None
-        )
         self.tracer: Tracer | None = (
-            Tracer(max_roots=obs.trace_buffer) if obs.endpoint else None
-        )
-        self.profiler: Profiler | None = (
-            Profiler(top=obs.profile_top) if obs.profile else None
+            Tracer(events_path=obs.events_path, profile=obs.profile)
+            if obs.enabled
+            else None
         )
         self._state_since = self._clock()
         self._read_seconds = get_registry().histogram(
@@ -249,7 +239,6 @@ class RankingService:
             self.telemetry = TelemetryServer(
                 health_fn=self.health,
                 tracer=self.tracer,
-                event_log=self.events,
                 host=obs.endpoint_host,
                 port=obs.endpoint_port,
             ).start()
@@ -369,40 +358,32 @@ class RankingService:
     # Telemetry plumbing
     # ------------------------------------------------------------------
     def _emit(self, kind: str, **fields: object) -> None:
-        """Land one event on this service's log (no-op without one).
+        """Land one event on this service's tracer (no-op without one).
 
-        Goes straight to ``self.events`` rather than the ambient log so
+        Goes straight to ``self.tracer`` rather than the ambient one so
         events from *caller* threads (submissions, queries) correlate
         under the service's ``run_id`` too — ambience only covers the
         threads the service itself activates.
         """
-        if self.events is not None:
-            self.events.emit(kind, **fields)
+        if self.tracer is not None:
+            self.tracer.emit(kind, **fields)
 
-    @contextmanager
-    def _observed(self) -> Iterator[None]:
-        """Make the service's log/tracer/profiler ambient for this thread.
+    def _observed(self) -> AbstractContextManager:
+        """Make the service's tracer ambient for this thread.
 
         Context variables do not propagate into threads, so every thread
         that executes solves on the service's behalf — the background
         updater, or a caller running ``run_pending``/``bootstrap``
         directly — enters this context so the solver layer's
         ``solve_*``/``fallback``/``checkpoint_*`` events and spans land
-        on the service's telemetry.
+        on the service's tracer.
         """
-        with ExitStack() as stack:
-            if self.events is not None:
-                stack.enter_context(self.events.activate())
-            if self.tracer is not None:
-                stack.enter_context(self.tracer.activate())
-            if self.profiler is not None:
-                stack.enter_context(self.profiler.activate())
-            yield
+        return nullcontext() if self.tracer is None else self.tracer.activate()
 
     @property
     def run_id(self) -> str | None:
         """The correlation id stamped on this service's events, if any."""
-        return None if self.events is None else self.events.run_id
+        return None if self.tracer is None else self.tracer.run_id
 
     # ------------------------------------------------------------------
     # State machine
@@ -576,9 +557,7 @@ class RankingService:
         )
         self._emit("update_start", seq=request.seq)
         try:
-            with span("update", seq=request.seq), profile_block(
-                "update", seq=request.seq
-            ):
+            with span("update", seq=request.seq):
                 result = self._ranker.update(
                     request.graph,
                     request.assignment,
@@ -821,8 +800,8 @@ class RankingService:
     def stop(self, timeout: float = 30.0) -> None:
         """Stop the background updater thread and join it.
 
-        The telemetry endpoint is shut down too; the event log and its
-        ring buffer stay readable after stop.
+        The telemetry endpoint is shut down too; the tracer's spans and
+        events stay readable after stop.
         """
         with self._lock:
             thread = self._thread
@@ -835,10 +814,9 @@ class RankingService:
         self._emit("service_stop", state=self._state)
 
     def _loop(self) -> None:
-        # run_pending re-activates the service's event log / tracer /
-        # profiler inside this thread (context variables do not cross
-        # thread boundaries), so updater telemetry correlates with the
-        # service run_id.
+        # run_pending re-activates the service's tracer inside this
+        # thread (context variables do not cross thread boundaries), so
+        # updater telemetry correlates with the service run_id.
         while not self._stop_event.is_set():
             try:
                 applied = self.run_pending()

@@ -64,36 +64,36 @@ class TestIterateToFixpoint:
         assert seen[-1][1] < 1e-9
 
     def test_progress_hooks_fire(self):
-        from repro.observability import SolverTelemetry
+        from repro.observability import Tracer
 
-        telemetry = SolverTelemetry()
-        params = RankingParams(
-            tolerance=1e-9, max_iter=100, progress=telemetry
-        )
-        iterate_to_fixpoint(
-            halve_toward(np.ones(2)),
-            np.zeros(2),
-            params,
-            solver="power",
-            label="engine-test",
-            kernel="scipy",
-        )
-        run = telemetry.runs[-1]
-        assert run.label == "engine-test"
-        assert run.kernel == "scipy"
-        assert run.iterations
+        tracer = Tracer(profile=True)
+        params = RankingParams(tolerance=1e-9, max_iter=100)
+        with tracer.activate():
+            _, info = iterate_to_fixpoint(
+                halve_toward(np.ones(2)),
+                np.zeros(2),
+                params,
+                solver="power",
+                label="engine-test",
+                kernel="scipy",
+            )
+        (run,) = tracer.roots
+        assert run.name == "solve:engine-test"
+        assert run.meta["kernel"] == "scipy"
+        assert run.meta["iterations"] == info.iterations
+        assert len(run.meta["step_seconds"]) == info.iterations
+        assert [e["kind"] for e in tracer.events()] == ["solve_start", "solve_end"]
 
     def test_kernel_none_stays_none_in_telemetry(self):
-        from repro.observability import SolverTelemetry
+        from repro.observability import Tracer
 
-        telemetry = SolverTelemetry()
-        params = RankingParams(
-            tolerance=1e-9, max_iter=100, progress=telemetry
-        )
-        iterate_to_fixpoint(
-            halve_toward(np.ones(2)), np.zeros(2), params, solver="jacobi"
-        )
-        assert telemetry.runs[-1].kernel is None
+        tracer = Tracer()
+        params = RankingParams(tolerance=1e-9, max_iter=100)
+        with tracer.activate():
+            iterate_to_fixpoint(
+                halve_toward(np.ones(2)), np.zeros(2), params, solver="jacobi"
+            )
+        assert "kernel" not in tracer.roots[0].meta
 
 
 class TestResidualNorm:

@@ -10,7 +10,6 @@ from urllib.request import urlopen
 import pytest
 
 from repro.observability import (
-    EventLog,
     MetricsRegistry,
     TelemetryServer,
     Tracer,
@@ -51,33 +50,51 @@ class TestRoutes:
             assert get_json(server, "/health")["state"] == "healthy"
 
     def test_health_stamped_with_run_id(self, registry) -> None:
-        events = EventLog(run_id="run-ep")
-        events.emit("x")
-        with TelemetryServer(registry=registry, event_log=events) as server:
+        tracer = Tracer()
+        tracer.emit("x")
+        with TelemetryServer(registry=registry, tracer=tracer) as server:
             health = get_json(server, "/health")
-        assert health["run_id"] == "run-ep"
+        assert health["run_id"] == tracer.run_id
         assert health["events_emitted"] == 1
 
     def test_trace_chrome_document(self, registry) -> None:
         tracer = Tracer()
         with tracer.activate(), tracer.span("pipeline"):
-            with tracer.span("stage:rank"):
+            with tracer.span("stage:rank", residuals=[0.5, 0.25]):
                 pass
         with TelemetryServer(registry=registry, tracer=tracer) as server:
             doc = get_json(server, "/trace")
         names = {e["name"] for e in doc["traceEvents"]}
         assert {"pipeline", "stage:rank"} <= names
+        # Series stay in the JSON export; the Chrome args hold scalars.
+        assert all("residuals" not in e["args"] for e in doc["traceEvents"])
         with TelemetryServer(registry=registry) as server:
             assert get_json(server, "/trace")["traceEvents"] == []
 
     def test_events_tail_and_limit(self, registry) -> None:
-        events = EventLog()
+        tracer = Tracer()
         for i in range(5):
-            events.emit("tick", i=i)
-        with TelemetryServer(registry=registry, event_log=events) as server:
+            tracer.emit("tick", i=i)
+        with TelemetryServer(registry=registry, tracer=tracer) as server:
             assert len(get_json(server, "/events")) == 5
             tail = get_json(server, "/events?limit=2")
         assert [e["i"] for e in tail] == [3, 4]
+
+    def test_events_limit_must_be_a_non_negative_integer(
+        self, registry, caplog
+    ) -> None:
+        tracer = Tracer()
+        for i in range(5):
+            tracer.emit("tick", i=i)
+        with TelemetryServer(registry=registry, tracer=tracer) as server:
+            assert get_json(server, "/events?limit=0") == []
+            assert len(get_json(server, "/events?limit=9")) == 5
+            for bad in ("-2", "abc", "1.5", ""):
+                with pytest.raises(urllib.error.HTTPError) as err:
+                    get(server, f"/events?limit={bad}")
+                assert err.value.code == 400, bad
+        # A bad query is the client's error: no traceback in the log.
+        assert not [r for r in caplog.records if r.exc_info]
 
     def test_unknown_route_404(self, registry) -> None:
         with TelemetryServer(registry=registry) as server:
@@ -113,10 +130,10 @@ class TestLifecycle:
         assert status == 200
 
     def test_concurrent_scrapes_all_answered(self, registry) -> None:
-        events = EventLog()
-        events.emit("x")
+        tracer = Tracer()
+        tracer.emit("x")
         failures: list[str] = []
-        with TelemetryServer(registry=registry, event_log=events) as server:
+        with TelemetryServer(registry=registry, tracer=tracer) as server:
 
             def scraper() -> None:
                 for path in ("/metrics", "/health", "/events") * 10:

@@ -1,4 +1,4 @@
-"""Tests for the opt-in profiling hooks."""
+"""Tests for profiling spans: a tracer built with ``profile=True``."""
 
 from __future__ import annotations
 
@@ -6,12 +6,8 @@ import threading
 
 import pytest
 
-from repro.errors import ObservabilityError
-from repro.observability import (
-    Profiler,
-    current_profiler,
-    profile_block,
-)
+from repro.observability import Tracer, current_tracer, span
+from repro.observability.tracing import PROFILE_TOP
 
 
 def burn(n: int = 20_000) -> int:
@@ -20,70 +16,70 @@ def burn(n: int = 20_000) -> int:
 
 class TestProfiler:
     def test_outermost_block_gets_cprofile_top_table(self) -> None:
-        profiler = Profiler(top=5)
-        with profiler.profile("stage:rank"):
+        tracer = Tracer(profile=True)
+        with tracer.span("rank"):
             burn()
-        (record,) = profiler.records
-        assert record.name == "stage:rank"
-        assert record.calls is not None and record.calls > 0
-        assert 0 < len(record.top) <= 5
-        row = record.top[0]
-        assert set(row) == {
+        (record,) = tracer.roots
+        assert record.name == "rank"
+        assert record.meta["calls"] > 0
+        top = record.meta["top"]
+        assert 0 < len(top) <= PROFILE_TOP
+        assert set(top[0]) == {
             "function",
             "calls",
             "tottime_seconds",
             "cumtime_seconds",
         }
         # Rows are sorted by cumulative time, hottest first.
-        cums = [r["cumtime_seconds"] for r in record.top]
+        cums = [r["cumtime_seconds"] for r in top]
         assert cums == sorted(cums, reverse=True)
 
     def test_nested_block_records_wall_and_cpu_only(self) -> None:
-        profiler = Profiler()
-        with profiler.profile("outer"):
-            with profiler.profile("inner"):
+        tracer = Tracer(profile=True)
+        with tracer.span("outer") as outer:
+            with tracer.span("inner") as inner:
                 burn()
-        inner, outer = profiler.records  # completion order
-        assert inner.name == "inner" and outer.name == "outer"
-        assert inner.calls is None and inner.top == []
-        assert outer.calls is not None
-        assert outer.wall_seconds >= inner.wall_seconds >= 0.0
-        assert inner.cpu_seconds >= 0.0
+        assert "calls" not in inner.meta and "top" not in inner.meta
+        assert outer.meta["calls"] > 0
+        assert outer.meta["wall_seconds"] >= inner.meta["wall_seconds"] >= 0.0
+        assert inner.meta["cpu_seconds"] >= 0.0
 
     def test_exception_still_records_the_block(self) -> None:
-        profiler = Profiler()
+        tracer = Tracer(profile=True)
         with pytest.raises(RuntimeError):
-            with profiler.profile("doomed"):
+            with tracer.span("doomed"):
                 raise RuntimeError("boom")
-        (record,) = profiler.records
+        (record,) = tracer.roots
         assert record.name == "doomed"
-        assert record.wall_seconds >= 0.0
-        # The deterministic profiler slot is released for the next block.
-        with profiler.profile("after"):
+        assert record.meta["wall_seconds"] >= 0.0
+        # The deterministic profiler slot is released for the next span.
+        with tracer.span("after") as after:
             pass
-        assert profiler.records[-1].calls is not None
+        assert after.meta["calls"] is not None
 
     def test_meta_and_find_and_as_dict(self) -> None:
-        profiler = Profiler(top=2)
-        with profiler.profile("update", seq=3):
+        tracer = Tracer(profile=True)
+        with tracer.span("update", seq=3):
             burn()
-        assert profiler.find("update")[0].meta == {"seq": 3}
-        assert profiler.find("absent") == []
-        payload = profiler.as_dict()
-        (entry,) = payload["profiles"]
+        (record,) = tracer.find("update")
+        assert record.meta["seq"] == 3
+        assert tracer.find("absent") == []
+        (entry,) = tracer.as_dict()["spans"]
         assert entry["name"] == "update"
-        assert entry["meta"] == {"seq": 3}
-        assert entry["cpu_fraction"] >= 0.0
+        assert entry["meta"]["seq"] == 3
+        assert entry["meta"]["cpu_seconds"] >= 0.0
 
-    def test_top_must_be_positive(self) -> None:
-        with pytest.raises(ObservabilityError, match="top"):
-            Profiler(top=0)
+    def test_unprofiled_tracer_records_no_timings(self) -> None:
+        tracer = Tracer()
+        with tracer.span("plain") as record:
+            burn()
+        assert record.meta == {}
 
     def test_each_thread_gets_its_own_outermost_cprofile(self) -> None:
-        profiler = Profiler()
+        tracer = Tracer(profile=True)
 
         def worker() -> None:
-            with profiler.profile(f"t{threading.get_ident()}"):
+            with tracer.span(f"t{threading.get_ident()}"):
                 burn()
 
         threads = [threading.Thread(target=worker) for _ in range(3)]
@@ -91,36 +87,35 @@ class TestProfiler:
             t.start()
         for t in threads:
             t.join()
-        records = profiler.records
-        assert len(records) == 3
-        # Every thread's block was outermost on its thread: all cProfile'd.
-        assert all(r.calls is not None for r in records)
+        roots = tracer.roots
+        assert len(roots) == 3
+        # Every thread's span was outermost on its thread: all cProfile'd.
+        assert all(r.meta["calls"] > 0 for r in roots)
 
 
 class TestAmbientProfileBlock:
     def test_noop_without_active_profiler(self) -> None:
-        assert current_profiler() is None
-        with profile_block("orphan") as record:
+        assert current_tracer() is None
+        with span("orphan") as record:
             assert record is None
 
     def test_activate_routes_profile_block(self) -> None:
-        profiler = Profiler()
-        with profiler.activate():
-            assert current_profiler() is profiler
-            with profile_block("solve:power", solver="power") as record:
+        tracer = Tracer(profile=True)
+        with tracer.activate():
+            with span("solve:power", solver="power") as record:
                 burn()
-        assert current_profiler() is None
-        assert record is not None and record.meta == {"solver": "power"}
-        assert profiler.find("solve:power")[0].wall_seconds > 0.0
+        assert current_tracer() is None
+        assert record is not None and record.meta["solver"] == "power"
+        assert tracer.find("solve:power")[0].meta["wall_seconds"] > 0.0
 
     def test_activation_does_not_leak_into_threads(self) -> None:
-        profiler = Profiler()
+        tracer = Tracer(profile=True)
         seen: list[object] = []
 
         def worker() -> None:
-            seen.append(current_profiler())
+            seen.append(current_tracer())
 
-        with profiler.activate():
+        with tracer.activate():
             thread = threading.Thread(target=worker)
             thread.start()
             thread.join()

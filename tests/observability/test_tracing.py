@@ -1,10 +1,13 @@
-"""Span nesting, ambient-tracer activation, and tree rendering."""
+"""Span nesting, ambient-tracer activation, span events, and tree rendering."""
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
-from repro.observability import Tracer, current_tracer, format_tree, span
+from repro.observability import Tracer, current_tracer, emit, format_tree, span
+from repro.observability.tracing import ROOT_RING
 
 
 class TestSpanNesting:
@@ -143,12 +146,57 @@ class TestThreadSafety:
             assert {s.tid for s in root.walk()} == {root.tid}
 
     def test_max_roots_ring_keeps_newest(self) -> None:
-        tracer = Tracer(max_roots=3)
-        for i in range(7):
+        tracer = Tracer()
+        for i in range(ROOT_RING + 3):
             with tracer.span(f"s{i}"):
                 pass
-        assert [r.name for r in tracer.roots] == ["s4", "s5", "s6"]
+        names = [r.name for r in tracer.roots]
+        assert len(names) == ROOT_RING
+        assert names[0] == "s3" and names[-1] == f"s{ROOT_RING + 2}"
 
-    def test_max_roots_validated(self) -> None:
-        with pytest.raises(ValueError, match="max_roots"):
-            Tracer(max_roots=0)
+    def test_worker_thread_activating_the_tracer_nests_under_its_own_roots(
+        self,
+    ) -> None:
+        tracer = Tracer()
+        seen: list[object] = []
+
+        def worker() -> None:
+            seen.append(current_tracer())  # context variables stay behind
+            with tracer.activate(), span("worker"):
+                with span("worker-solve"):
+                    emit("from-worker")
+
+        with tracer.activate(), span("main"):
+            thread = threading.Thread(target=worker)
+            thread.start()
+            thread.join()
+            emit("from-main")
+        assert seen == [None]
+        main, worker_root = sorted(tracer.roots, key=lambda r: r.name)
+        assert (main.name, worker_root.name) == ("main", "worker")
+        assert main.children == []  # the worker's spans never nest here
+        assert [c.name for c in worker_root.children] == ["worker-solve"]
+        assert worker_root.tid != main.tid
+        events = tracer.events()
+        assert [e["kind"] for e in events] == ["from-worker", "from-main"]
+        assert {e["run_id"] for e in events} == {tracer.run_id}
+        assert worker_root.children[0].events == [events[0]]
+        assert main.events == [events[1]]
+
+
+class TestSpanEvents:
+    def test_event_in_a_span_is_on_the_span_and_in_the_ring(self) -> None:
+        tracer = Tracer()
+        with tracer.activate():
+            emit("outside")
+            with span("outer") as outer:
+                with span("inner") as inner:
+                    event = emit("tick", n=3)
+                emit("after-inner")
+        assert inner.events == [event]
+        assert [e["kind"] for e in outer.events] == ["after-inner"]
+        ring = {e["seq"]: e for e in tracer.events()}
+        assert ring[event["seq"]] is event
+        assert event["kind"] == "tick" and event["n"] == 3
+        # The span's JSON carries its events.
+        assert outer.as_dict()["children"][0]["events"][0]["seq"] == event["seq"]

@@ -26,6 +26,23 @@ def trips(kind: str) -> float:
     )
 
 
+def poison(x: np.ndarray, value: float = np.nan) -> np.ndarray:
+    out = 0.9 * x
+    out[1] = value
+    return out
+
+
+def poison_at(call: int, value: float):
+    """A contracting step whose ``call``-th result holds one ``value``."""
+    calls = [0]
+
+    def step(x):
+        calls[0] += 1
+        return poison(x, value) if calls[0] == call else 0.9 * x
+
+    return step
+
+
 @pytest.fixture(autouse=True)
 def fresh_registry():
     reset_registry()
@@ -35,14 +52,19 @@ def fresh_registry():
 
 class TestSolveGuard:
     def test_nan_iterate_trips(self):
-        guard = SolveGuard(ResilienceParams(), tolerance=1e-9)
-        x = np.ones(4)
-        guard.check(1, x, 0.5)  # finite: records last_finite
-        bad = x.copy()
-        bad[2] = np.nan
-        with pytest.raises(NumericalError, match="non-finite iterate"):
-            guard.check(2, bad, 0.4)
-        assert trips("nan") == 1
+        # A non-finite entry in an iterate always shows in its residual,
+        # under every norm: the guard trips on that very iteration.
+        for norm in ("l1", "l2", "linf"):
+            for bad in (np.nan, np.inf, -np.inf):
+                reset_registry()
+                step = poison_at(3, bad)
+                params = RankingParams(
+                    max_iter=100, norm=norm, resilience=ResilienceParams()
+                )
+                with pytest.raises(NumericalError, match="non-finite") as exc:
+                    iterate_to_fixpoint(step, np.ones(4), params, solver="power")
+                assert exc.value.iterations == 3, (norm, bad)
+                assert trips("nan") == 1
 
     def test_nan_residual_trips(self):
         guard = SolveGuard(ResilienceParams(), tolerance=1e-9)
@@ -50,26 +72,19 @@ class TestSolveGuard:
             guard.check(1, np.ones(4), np.nan)
 
     def test_last_finite_attached_to_error(self):
-        guard = SolveGuard(ResilienceParams(), tolerance=1e-9)
-        good = np.full(4, 0.25)
-        guard.check(1, good, 0.5)
-        bad = good.copy()
-        bad[0] = np.inf
-        with pytest.raises(NumericalError) as exc:
-            guard.check(2, bad, 0.4)
-        np.testing.assert_array_equal(exc.value.last_iterate, good)
+        # The NaN trip carries the iterate *before* the poisoned one.
+        seen: list[np.ndarray] = []
 
-    def test_finite_scan_interval_respected(self):
-        # Scan every 3 iterations: a NaN on iteration 2 slips past the
-        # iterate scan (the residual stays finite), trips on iteration 3.
-        guard = SolveGuard(
-            ResilienceParams(check_finite_every=3, divergence_window=0),
-            tolerance=1e-9,
-        )
-        bad = np.array([1.0, np.nan])
-        guard.check(2, bad, 0.5)
-        with pytest.raises(NumericalError):
-            guard.check(3, bad, 0.4)
+        def step(x):
+            out = poison(x) if len(seen) == 2 else 0.5 * x + 0.1
+            seen.append(out)
+            return out
+
+        params = RankingParams(max_iter=100, resilience=ResilienceParams())
+        with pytest.raises(NumericalError) as exc:
+            iterate_to_fixpoint(step, np.full(4, 0.25), params, solver="power")
+        np.testing.assert_array_equal(exc.value.last_iterate, seen[1])
+        assert exc.value.last_iterate is not seen[1]  # a copy
 
     def test_divergence_trips_after_window(self):
         guard = SolveGuard(
@@ -80,8 +95,9 @@ class TestSolveGuard:
         guard.check(2, x, 2.0)
         guard.check(3, x, 3.0)
         with pytest.raises(DivergenceError) as exc:
-            guard.check(4, x, 4.0)
+            guard.check(4, x, 4.0, previous=np.zeros(2))
         assert exc.value.window == 3
+        np.testing.assert_array_equal(exc.value.last_iterate, x)
         assert trips("divergence") == 1
 
     def test_divergence_run_resets_on_improvement(self):

@@ -3,15 +3,18 @@ SLO read-latency instrumentation, and trace isolation."""
 
 from __future__ import annotations
 
+import gc
 import json
 import threading
 import time
+import warnings
 from urllib.request import urlopen
 
 import pytest
 
 from repro.config import ObservabilityParams, RankingParams, ServingParams
 from repro.errors import AdmissionError
+from repro.observability import read_events
 from repro.resilience.faults import crash_at_iteration
 from repro.serving import RankingService
 from repro.serving.service import SERVING_STATES
@@ -22,7 +25,7 @@ SERVING = ServingParams(
     poll_interval_seconds=0.005,
 )
 
-OBSERVED = ObservabilityParams(events=True, endpoint=True)
+OBSERVED = ObservabilityParams(endpoint=True)
 
 
 def make_service(tmp_path, observability=OBSERVED) -> RankingService:
@@ -54,13 +57,32 @@ class TestZeroCostDefault:
                                                   tiny_kappa):
         service = RankingService(tmp_path / "snapshots", serving=SERVING)
         assert service.telemetry is None
-        assert service.events is None
+        assert service.tracer is None
         assert service.run_id is None
         service.bootstrap(tiny.graph, tiny.assignment, tiny_kappa)
         assert service.score(0).state == "healthy"
         health = service.health()
         assert health["run_id"] is None
         service.stop()
+
+    def test_events_file_is_never_left_open(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            service = make_service(
+                tmp_path, ObservabilityParams(events_path=str(path))
+            )
+            service.start()
+            service.stop()
+            service.start()  # a restarted service still appends
+            service.stop()
+            run_id = service.run_id
+            del service
+            gc.collect()
+        assert not [w for w in caught if w.category is ResourceWarning]
+        events = read_events(path)
+        assert [e["kind"] for e in events].count("service_stop") == 2
+        assert {e["run_id"] for e in events} == {run_id}
 
 
 class TestEndpointUnderChaos:
@@ -149,7 +171,7 @@ class TestEndpointUnderChaos:
         service.run_pending()
         service.stop()
 
-        events = service.events.events()
+        events = service.tracer.events()
         assert events
         assert {e["run_id"] for e in events} == {service.run_id}
         kinds = [e["kind"] for e in events]
